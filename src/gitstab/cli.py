@@ -12,10 +12,8 @@ import argparse
 import datetime
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -23,7 +21,6 @@ import numpy as np
 from . import __version__
 from .balance import (
     SampledBundleConfig,
-    SolveStatus,
     balance_solve,
     bundle_balance_solve,
 )
@@ -31,6 +28,7 @@ from .cone import ConeSpec, conjecture_probe, hypersimplex_membership
 from .config import (
     ConfigSchemaError,
     WeightedConfiguration,
+    _is_count,
     config_from_dict,
     config_to_dict,
     subspace_from_lists,
@@ -52,14 +50,6 @@ from .stability import decide, exactify_destabilizer, mu_lambda_s
 
 class InputError(Exception):
     pass
-
-
-def _threads() -> int:
-    raw = os.environ.get("GITSTAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _read_json(path: str):
@@ -133,7 +123,7 @@ def _mfiltration_from_dict(data: dict) -> MFiltration:
     if "n" not in data:
         raise InputError("missing field: n")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_count(n):
         raise InputError("n: must be a positive integer")
     chains = []
     for s, raw_chain in enumerate(data["filtrations"]):
@@ -143,7 +133,11 @@ def _mfiltration_from_dict(data: dict) -> MFiltration:
             if not isinstance(step, dict) or "weight" not in step or "basis" not in step:
                 raise InputError(f"{where}: needs weight and basis")
             sub = subspace_from_lists(step["basis"], n, f"{where}.basis")
-            chain.append((sub, step["weight"]))
+            try:
+                w = parse_rational(step["weight"])
+            except (ValueError, ZeroDivisionError, TypeError) as exc:
+                raise InputError(f"{where}.weight: bad rational ({exc})") from exc
+            chain.append((sub, w))
         chains.append(chain)
     return mfiltration(n, chains)
 
@@ -495,7 +489,6 @@ def cmd_probe(args) -> int:
             trials=args.trials,
             seed=args.seed,
             depth=args.depth,
-            threads=_threads(),
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -515,15 +508,7 @@ def cmd_probe(args) -> int:
 
 def cmd_corpus(args) -> int:
     run = _Runner(args, "corpus")
-    cases = all_cases()
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(
-                pool.map(lambda case: check_case(case, args.depth), cases)
-            )
-    else:
-        reports = [check_case(case, args.depth) for case in cases]
+    reports = [check_case(case, args.depth) for case in all_cases()]
     summary = corpus_summary(reports)
     if summary["passed"] != summary["total"]:
         run.exit_code = 1

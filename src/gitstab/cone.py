@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -166,27 +165,18 @@ def conjecture_probe(
     trials: int,
     seed: int = 0,
     depth: int = 3,
-    threads: int = 1,
 ) -> ProbeReport:
     """Sample random configurations of the given shape and tally verdicts.
 
     Evidence only: the sufficiency direction is never asserted.  Trials are
-    independently seeded, so threaded and serial runs agree entry for
-    entry.  A semistable sample with weights outside the region raises.
+    independently seeded.  A semistable sample with weights outside the
+    region raises.
     """
     if spec.n >= sum(spec.k):
         raise ValueError("requires n < sum k_i")
     ws = tuple(parse_rational(w) for w in weights)
     membership = hypersimplex_membership(spec, ws)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            statuses = list(
-                pool.map(
-                    lambda t: probe_trial(spec, ws, seed, t, depth), range(trials)
-                )
-            )
-    else:
-        statuses = [probe_trial(spec, ws, seed, t, depth) for t in range(trials)]
+    statuses = [probe_trial(spec, ws, seed, t, depth) for t in range(trials)]
     counts = {status.value: 0 for status in Status}
     for s in statuses:
         counts[s.value] += 1

@@ -261,6 +261,11 @@ def _parse_basis(data, ambient: int, path: str) -> Subspace:
     return span(vectors, ambient)
 
 
+def _is_count(value) -> bool:
+    """A positive JSON integer; JSON true and false are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def config_from_dict(data: dict) -> WeightedConfiguration:
     if not isinstance(data, dict):
         raise ConfigSchemaError("top level: expected an object")
@@ -268,9 +273,9 @@ def config_from_dict(data: dict) -> WeightedConfiguration:
         if key not in data:
             raise ConfigSchemaError(f"missing field: {key}")
     n, d = data["n"], data["d"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_count(n):
         raise ConfigSchemaError("n: must be a positive integer")
-    if not isinstance(d, int) or d < 1:
+    if not _is_count(d):
         raise ConfigSchemaError("d: must be a positive integer")
     raw_items = data["items"]
     if not isinstance(raw_items, list) or not raw_items:

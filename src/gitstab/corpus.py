@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .balance import SolveStatus, balance_solve
-from .cone import ConeSpec, Region, hypersimplex_membership
-from .config import WeightedConfiguration, configuration, slope_total
+from .cone import ConeSpec, Region, foth_witness, hypersimplex_membership
+from .config import WeightedConfiguration, configuration
 from .filtration import hn_filtration, jh_filtration, polystable_split
 from .linalg import Subspace, full_subspace, span
 from .stability import (
@@ -57,17 +57,6 @@ class CaseReport:
     name: str
     passed: bool
     failures: tuple = field(default_factory=tuple)
-
-
-def _foth_planes(m: int, weights) -> WeightedConfiguration:
-    one, zero = _f(1), _f(0)
-    items = []
-    for i in range(m):
-        t = _f(i)
-        items.append(
-            (_sub(4, [one, t, zero, zero], [zero, zero, one, t]), weights[i])
-        )
-    return configuration(4, 1, items)
 
 
 def all_cases() -> tuple[CorpusCase, ...]:
@@ -168,7 +157,7 @@ def all_cases() -> tuple[CorpusCase, ...]:
         ),
         CorpusCase(
             name="foth-three-planes",
-            config=_foth_planes(3, [_f(1)] * 3),
+            config=foth_witness(3, [1, 1, 1]),
             extra=(foth_f,),
             expected=Expected(
                 status=Status.STRICTLY_SEMISTABLE,
@@ -341,15 +330,5 @@ def corpus_summary(reports) -> dict:
         "cases": [
             {"name": r.name, "passed": r.passed, "failures": list(r.failures)}
             for r in reports
-        ],
-    }
-
-
-def slope_table(c: WeightedConfiguration) -> dict:
-    """Small diagnostic used by the command-line corpus report."""
-    return {
-        "total": str(slope_total(c)),
-        "items": [
-            {"dim": sub.dim, "weight": str(w)} for sub, w in c.items
         ],
     }

@@ -24,7 +24,6 @@ from .config import (
 )
 from .linalg import (
     Subspace,
-    Vector,
     full_subspace,
     join,
     lift_from_quotient,
@@ -38,8 +37,7 @@ from .stability import (
     Status,
     Verdict,
     candidate_subspaces,
-    decide,
-    mu_lambda_s,
+    scan_margins,
 )
 
 
@@ -93,8 +91,21 @@ def lift_into(sub: Subspace, outer: Subspace) -> Subspace:
     return span(lifted, outer.ambient_dim)
 
 
+def _scan(
+    c: WeightedConfiguration, depth: int, extra: Sequence[Subspace], seen: dict
+) -> tuple[list[Subspace], Verdict, list[Subspace]]:
+    """c's candidate lattice, with the verdict and equality witnesses of
+    its margin scan.  seen keeps them per (configuration, extras) for the
+    rest of one public call, so no lattice is built or scanned twice."""
+    key = (c, tuple(extra))
+    if key not in seen:
+        cands = candidate_subspaces(c, depth, extra)
+        seen[key] = (cands, *scan_margins(c, cands, depth))
+    return seen[key]
+
+
 def _graded_report(
-    c: WeightedConfiguration, flag: Flag, depth: int
+    c: WeightedConfiguration, flag: Flag, depth: int, seen: dict
 ) -> GradedReport:
     out = []
     for prev, cur in zip(flag.steps, flag.steps[1:]):
@@ -105,7 +116,7 @@ def _graded_report(
             GradedStep(
                 config=piece,
                 slope=slope_total(piece),
-                verdict=decide(piece, depth),
+                verdict=_scan(piece, depth, (), seen)[1],
             )
         )
     return tuple(out)
@@ -123,21 +134,24 @@ def _map_extras_to_quotient(extra, v1: Subspace):
 
 
 def _hn_steps(
-    c: WeightedConfiguration, depth: int, extra: Sequence[Subspace]
+    c: WeightedConfiguration, depth: int, extra: Sequence[Subspace], seen: dict
 ) -> list[Subspace]:
     """Proper nonzero flag steps in c's own coordinates, increasing."""
-    total = slope_total(c)
-    best = total
-    maximizers: list[Subspace] = []
-    for h in candidate_subspaces(c, depth, extra):
+    cands, verdict, _ = _scan(c, depth, extra, seen)
+    if verdict.is_semistable:
+        return []
+    # Candidates before the first violator have slope <= total, so the
+    # slope maximizers all come at or after it.
+    first = cands.index(verdict.certificate)
+    best = verdict.certificate_slope
+    maximizers = [verdict.certificate]
+    for h in cands[first + 1 :]:
         s = slope_at(c, h)
         if s > best:
             best = s
             maximizers = [h]
-        elif s == best and s > total:
+        elif s == best:
             maximizers.append(h)
-    if not maximizers:
-        return []
     v1 = maximizers[0]
     for h in maximizers[1:]:
         v1 = join(v1, h)
@@ -146,7 +160,7 @@ def _hn_steps(
     if v1.is_full:
         raise AssertionError("maximal destabilizer cannot be the full space")
     quotient = induced_quotient(c, v1)
-    sub_steps = _hn_steps(quotient, depth, _map_extras_to_quotient(extra, v1))
+    sub_steps = _hn_steps(quotient, depth, _map_extras_to_quotient(extra, v1), seen)
     steps = [v1]
     for s in sub_steps:
         lifted = span(
@@ -165,9 +179,10 @@ def hn_filtration(
     taken (maximizers are closed under join), then the quotient is
     processed.  Semistable input yields the trivial flag.
     """
-    proper = _hn_steps(c, depth, extra)
+    seen: dict = {}
+    proper = _hn_steps(c, depth, extra, seen)
     flag = Flag(tuple([zero_subspace(c.n)] + proper + [full_subspace(c.n)]))
-    return flag, _graded_report(c, flag, depth)
+    return flag, _graded_report(c, flag, depth, seen)
 
 
 class RefinementObstruction(ValueError):
@@ -179,29 +194,18 @@ class RefinementObstruction(ValueError):
 
 
 def _jh_steps(
-    c: WeightedConfiguration, depth: int, extra: Sequence[Subspace]
+    c: WeightedConfiguration, depth: int, extra: Sequence[Subspace], seen: dict
 ) -> list[Subspace]:
     """Proper nonzero steps (increasing) of one equal-slope refinement."""
-    cands = candidate_subspaces(c, depth, extra)
-    equalities: list[Subspace] = []
-    for h in cands:
-        margin = mu_lambda_s(c, h)
-        if margin > 0:
-            raise RefinementObstruction(
-                "violation found during refinement", certificate=h
-            )
-        if margin == 0:
-            equalities.append(h)
+    _, verdict, equalities = _scan(c, depth, extra, seen)
+    if verdict.status == Status.UNSTABLE:
+        raise RefinementObstruction(
+            "violation found during refinement", certificate=verdict.certificate
+        )
     if not equalities:
         return []
     head = max(equalities, key=lambda h: h.dim)  # first maximal-dim in order
-    sub = induced_sub(c, head)
-    sub_extra = []
-    for e in extra:
-        cut = meet(e, head)
-        if 0 < cut.dim < head.dim:
-            sub_extra.append(restrict_to(cut, head))
-    inner = _jh_steps(sub, depth, tuple(sub_extra))
+    inner = _jh_steps(induced_sub(c, head), depth, _cut_extras(extra, head), seen)
     return [lift_into(s, head) for s in inner] + [head]
 
 
@@ -215,28 +219,26 @@ def jh_filtration(
     output depends on the documented candidate ordering (the refinement is
     not unique).  Raises on Unstable input.
     """
-    v = decide(c, depth, extra=extra)
-    if v.status == Status.UNSTABLE:
+    seen: dict = {}
+    if _scan(c, depth, extra, seen)[1].status == Status.UNSTABLE:
         raise ValueError("input is Unstable; no equal-slope refinement exists")
-    proper = _jh_steps(c, depth, extra)
+    proper = _jh_steps(c, depth, extra, seen)
     flag = Flag(tuple([zero_subspace(c.n)] + proper + [full_subspace(c.n)]))
-    return flag, _graded_report(c, flag, depth)
+    return flag, _graded_report(c, flag, depth, seen)
 
 
 def _split_summands(
-    c: WeightedConfiguration, depth: int, extra: Sequence[Subspace]
-) -> Optional[list[Subspace]]:
-    """Direct-sum pieces (in c's coordinates) with stable induced configs,
-    or None when no decomposition is found in the candidate lattice."""
-    v = decide(c, depth, extra=extra)
+    c: WeightedConfiguration, depth: int, extra: Sequence[Subspace], seen: dict
+) -> tuple[Verdict, Optional[list[Subspace]]]:
+    """c's exact verdict, and direct-sum pieces (in c's coordinates) with
+    stable induced configs, or None when the verdict is Unstable or no
+    decomposition is found in the candidate lattice."""
+    cands, v, equalities = _scan(c, depth, extra, seen)
     if v.status == Status.UNSTABLE:
-        return None
+        return v, None
     if v.status == Status.STABLE:
-        return [full_subspace(c.n)]
-    cands = candidate_subspaces(c, depth, extra)
-    equalities = [h for h in cands if mu_lambda_s(c, h) == 0]
-    equalities.sort(key=lambda h: -h.dim)
-    for head in equalities:
+        return v, [full_subspace(c.n)]
+    for head in sorted(equalities, key=lambda h: -h.dim):
         want = c.n - head.dim
         # The coordinate chart transverse to head is always a legitimate
         # complement even when the lattice closure never produced it.
@@ -251,20 +253,20 @@ def _split_summands(
                 for (sub, _), a, b in zip(c.items, in_head, in_comp)
             ):
                 continue
-            left = _split_summands(
-                induced_sub(c, head), depth, _cut_extras(extra, head)
+            _, left = _split_summands(
+                induced_sub(c, head), depth, _cut_extras(extra, head), seen
             )
             if left is None:
                 continue
-            right = _split_summands(
-                induced_sub(c, comp), depth, _cut_extras(extra, comp)
+            _, right = _split_summands(
+                induced_sub(c, comp), depth, _cut_extras(extra, comp), seen
             )
             if right is None:
                 continue
-            return [lift_into(s, head) for s in left] + [
+            return v, [lift_into(s, head) for s in left] + [
                 lift_into(s, comp) for s in right
             ]
-    return None
+    return v, None
 
 
 def _coordinate_complement(h: Subspace) -> Subspace:
@@ -296,31 +298,19 @@ def polystable_split(
     strictly semistable input its certificate is an equality witness and
     the full refinement is available from jh_filtration).
     """
-    v = decide(c, depth, extra=extra)
-    if v.status == Status.UNSTABLE:
-        return v
-    total = slope_total(c)
-    if v.status == Status.STABLE:
-        return Verdict(
-            status=Status.POLYSTABLE,
-            confidence=v.confidence,
-            summands=(full_subspace(c.n),),
-            slope=total,
-            candidate_digest=v.candidate_digest,
-            depth=depth,
-        )
-    summands = _split_summands(c, depth, extra)
+    v, summands = _split_summands(c, depth, extra, {})
     if summands is None:
         return v
     for s in summands:
         piece = induced_sub(c, s)
-        if slope_total(piece) != total:
+        if slope_total(piece) != v.slope:
             raise AssertionError("summand slope drifted from the total")
     return Verdict(
         status=Status.POLYSTABLE,
         confidence=Confidence.EXACT_WITHIN_DEPTH,
         summands=tuple(summands),
-        slope=total,
+        slope=v.slope,
+        candidate_digest=v.candidate_digest,
         depth=depth,
     )
 

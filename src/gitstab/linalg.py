@@ -24,12 +24,18 @@ class DimensionMismatchError(ValueError):
 
 
 def parse_rational(value) -> Fraction:
-    """Accept "p/q" strings, bare integer strings, ints, and Fractions."""
+    """Accept "p/q", integer and decimal strings, ints, and Fractions.
+
+    bools are not numbers here, and exponent strings are refused because
+    a few characters such as "1e200000" would expand to a huge integer.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value.lower():
+            raise ValueError(f"exponent notation not accepted: {value!r}")
         return Fraction(value.strip())
     raise TypeError(f"not a rational: {value!r}")
 

@@ -11,9 +11,9 @@ any violator found is a complete proof.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .config import (
     WeightedConfiguration,
@@ -26,7 +26,6 @@ from .config import (
 from .linalg import (
     RationalMatrix,
     Subspace,
-    full_subspace,
     join,
     meet,
     span,
@@ -227,23 +226,19 @@ def candidate_subspaces(
     return sorted(current, key=lambda s: (s.dim, s.rows))
 
 
-def decide(
-    c: WeightedConfiguration,
-    depth: int = 3,
-    numeric: bool = False,
-    extra: Sequence[Subspace] = (),
-) -> Verdict:
-    """Semistability verdict with an exact certificate.
+def scan_margins(
+    c: WeightedConfiguration, cands: Sequence[Subspace], depth: int
+) -> tuple[Verdict, list[Subspace]]:
+    """Exact verdict from the stability margins of the given candidates.
 
-    Scans the candidate set in order; the first strict violator proves
-    Unstable (ExactComplete).  Otherwise the first equality witness gives
-    StrictlySemistable and silence gives Stable, both within depth.  With
-    numeric=True the balance solver corroborates the verdict; numeric
-    evidence changes a status only after exact re-verification.
+    Scans in order; the first strict violator proves Unstable
+    (ExactComplete).  Otherwise the first equality witness gives
+    StrictlySemistable and silence gives Stable, both within depth.  Also
+    returns the equality witnesses in scan order, which is every one of
+    them unless the verdict is Unstable.
     """
-    cands = candidate_subspaces(c, depth, extra)
     total = slope_total(c)
-    equality: Optional[Subspace] = None
+    equalities: list[Subspace] = []
     for h in cands:
         margin = mu_lambda_s(c, h)
         if margin > 0:
@@ -255,14 +250,14 @@ def decide(
                 certificate_slope=slope_at(c, h),
                 mu=margin,
                 depth=depth,
-            )
-        if margin == 0 and equality is None:
-            equality = h
-    if equality is not None:
+            ), equalities
+        if margin == 0:
+            equalities.append(h)
+    if equalities:
         verdict = Verdict(
             status=Status.STRICTLY_SEMISTABLE,
             confidence=Confidence.EXACT_WITHIN_DEPTH,
-            certificate=equality,
+            certificate=equalities[0],
             slope=total,
             certificate_slope=total,
             mu=Fraction(0),
@@ -276,6 +271,22 @@ def decide(
             candidate_digest=subspace_digest(cands),
             depth=depth,
         )
+    return verdict, equalities
+
+
+def decide(
+    c: WeightedConfiguration,
+    depth: int = 3,
+    numeric: bool = False,
+    extra: Sequence[Subspace] = (),
+) -> Verdict:
+    """Semistability verdict with an exact certificate.
+
+    Scans the margins of the candidate set (see scan_margins).  With
+    numeric=True the balance solver corroborates the verdict; numeric
+    evidence changes a status only after exact re-verification.
+    """
+    verdict, _ = scan_margins(c, candidate_subspaces(c, depth, extra), depth)
     if numeric:
         verdict = _corroborate(c, verdict, depth, extra)
     return verdict
@@ -292,43 +303,21 @@ def _corroborate(
     result = balance.balance_solve(c)
     if result.status == balance.SolveStatus.BALANCED:
         if verdict.is_semistable:
-            return Verdict(
-                status=verdict.status,
-                confidence=Confidence.NUMERICALLY_CORROBORATED,
-                certificate=verdict.certificate,
-                slope=verdict.slope,
-                certificate_slope=verdict.certificate_slope,
-                mu=verdict.mu,
-                candidate_digest=verdict.candidate_digest,
-                depth=depth,
-            )
+            return replace(verdict, confidence=Confidence.NUMERICALLY_CORROBORATED)
         return verdict
     if result.status == balance.SolveStatus.DIVERGED and result.destabilizer_hint:
         for basis in result.destabilizer_hint:
             h = exactify_destabilizer(c, basis, depth, extra)
             if h is None:
                 continue
-            margin = mu_lambda_s(c, h)
-            if margin > 0:
-                return Verdict(
-                    status=Status.UNSTABLE,
-                    confidence=Confidence.EXACT_COMPLETE,
-                    certificate=h,
-                    slope=verdict.slope,
-                    certificate_slope=slope_at(c, h),
-                    mu=margin,
-                    depth=depth,
-                )
-            if margin == 0 and verdict.status == Status.STABLE:
-                return Verdict(
-                    status=Status.STRICTLY_SEMISTABLE,
-                    confidence=Confidence.EXACT_WITHIN_DEPTH,
-                    certificate=h,
-                    slope=verdict.slope,
-                    certificate_slope=verdict.slope,
-                    mu=Fraction(0),
-                    depth=depth,
-                )
+            # an exact re-check of the hint alone: a violator proves
+            # Unstable, an equality witness refutes a Stable verdict
+            checked, _ = scan_margins(c, [h], depth)
+            if checked.status == Status.UNSTABLE or (
+                checked.status == Status.STRICTLY_SEMISTABLE
+                and verdict.status == Status.STABLE
+            ):
+                return checked
     return verdict
 
 

@@ -91,6 +91,11 @@ def test_criterion_01_exact_corpus():
     for case in all_cases():
         v = decide(case.config, extra=case.extra)
         record_verdict(f"corpus:{case.name}", case.config, v)
+        if case.name == "foth-three-planes":
+            # the case is built by foth_witness; it must be the hand-written
+            # planes span(e1 + t e2, e3 + t e4), t = 0, 1, 2, of weight 1
+            planes = [span([[1, t, 0, 0], [0, 0, 1, t]], 4) for t in range(3)]
+            assert case.config == configuration(4, 1, [(p, 1) for p in planes])
     assert elapsed < 1.0, f"corpus took {elapsed:.2f}s"
     print(f"criterion 1 PASS: {len(reports)} corpus cases exact in {elapsed:.2f}s")
 

@@ -158,12 +158,6 @@ class TestProbe:
         assert r.fraction_stable == 0.0
         assert r.fraction_semistable > 0
 
-    def test_threaded_matches_serial(self):
-        spec = ConeSpec(3, (1, 1, 2))
-        serial = conjecture_probe(spec, [1, 1, 1], trials=8, seed=3, threads=1)
-        threaded = conjecture_probe(spec, [1, 1, 1], trials=8, seed=3, threads=4)
-        assert serial.counts == threaded.counts
-
     def test_trial_determinism(self):
         spec = ConeSpec(3, (1, 2))
         a = probe_trial(spec, [F(1), F(1)], seed=7, index=4)

@@ -225,6 +225,24 @@ class TestSerialization:
         with pytest.raises(ConfigSchemaError, match=r"items\[0\].weight"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, data",
+        [
+            ("n", {"n": True, "d": 1, "items": [{"weight": "1", "basis": [["1"]]}]}),
+            ("d", {"n": 1, "d": True, "items": [{"weight": "1", "basis": [["1"]]}]}),
+            (r"items\[0\].weight", {"n": 1, "d": 1, "items": [{"weight": True, "basis": [["1"]]}]}),
+            (r"items\[0\].basis", {"n": 1, "d": 1, "items": [{"weight": "1", "basis": [[True]]}]}),
+            (r"items\[0\].weight", {"n": 1, "d": 1, "items": [{"weight": "1e200000", "basis": [["1"]]}]}),
+        ],
+    )
+    def test_booleans_and_exponents_rejected(self, field, data):
+        with pytest.raises(ConfigSchemaError, match=field):
+            config_from_dict(data)
+
+    def test_decimal_weight_accepted(self):
+        data = {"n": 1, "d": 1, "items": [{"weight": "0.5", "basis": [["1"]]}]}
+        assert config_from_dict(data).items[0][1] == F(1, 2)
+
     def test_bad_vector_length_has_path(self):
         data = {
             "n": 2,

@@ -254,6 +254,44 @@ class TestPolystableSplit:
         assert v.summands is None
 
 
+class TestLatticeSharing:
+    """One public call builds each (configuration, depth, extras) lattice
+    at most once, however its recursion and graded report are arranged."""
+
+    CASES = ("transverse-pair", "coordinate-triple", "weighted-tower", "foth-three-planes")
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import gitstab.filtration
+        import gitstab.stability
+
+        keys = []
+        original = gitstab.stability.candidate_subspaces
+
+        def counting(c, depth=3, extra=()):
+            keys.append((c, depth, tuple(extra)))
+            return original(c, depth, extra)
+
+        monkeypatch.setattr(gitstab.stability, "candidate_subspaces", counting)
+        monkeypatch.setattr(gitstab.filtration, "candidate_subspaces", counting)
+        return keys
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("call", [hn_filtration, jh_filtration, polystable_split])
+    def test_no_lattice_built_twice(self, builds, name, call):
+        from gitstab.corpus import all_cases
+
+        case = {case.name: case for case in all_cases()}[name]
+        builds.clear()
+        try:
+            call(case.config, extra=case.extra)
+        except ValueError:
+            pass  # jh on an Unstable input; its builds still count
+        assert builds
+        repeated = [key for key in set(builds) if builds.count(key) > 1]
+        assert repeated == []
+
+
 class TestMFiltration:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,15 @@ class TestParseRational:
     def test_negative_string(self):
         assert parse_rational("-5/2") == F(-5, 2)
 
+    def test_bool_rejected(self):
+        with pytest.raises(TypeError):
+            parse_rational(True)
+
+    def test_exponent_rejected(self):
+        for text in ("1e200000", "2E3", "1.5e-2"):
+            with pytest.raises(ValueError):
+                parse_rational(text)
+
     def test_zero_denominator_rejected(self):
         with pytest.raises((ValueError, ZeroDivisionError)):
             parse_rational("1/0")
