@@ -148,17 +148,20 @@ def _phi_from_moved(
     return phi
 
 
+def _moved_config(c: WeightedConfiguration, metric: HermitianMetric):
+    """The metric's factor g, and the item bases moved by g tensor 1."""
+    if metric.n != c.n:
+        raise ValueError("metric size must be n")
+    g = _g_factor(metric)
+    return g, [(w, _move(g, b, c.n, c.d)) for w, b in config_bases(c)]
+
+
 def moment_map(c: WeightedConfiguration, metric: HermitianMetric) -> MomentValue:
     """Weighted sum of metric-orthogonal item projectors minus the slope
     multiple of the identity; for d > 1 projectors are partial-traced over
     the W factor down to V."""
-    if metric.n != c.n:
-        raise ValueError("metric size must be n")
-    g = _g_factor(metric)
-    bases = config_bases(c)
-    moved = [(w, _move(g, b, c.n, c.d)) for w, b in bases]
-    phi = _phi_from_moved(moved, c.n, c.d, float(slope_total(c)))
-    return MomentValue(phi)
+    _, moved = _moved_config(c, metric)
+    return MomentValue(_phi_from_moved(moved, c.n, c.d, float(slope_total(c))))
 
 
 def kempf_ness_value(c: WeightedConfiguration, metric: HermitianMetric) -> float:
@@ -168,29 +171,8 @@ def kempf_ness_value(c: WeightedConfiguration, metric: HermitianMetric) -> float
     Scale-invariant in the metric; its directional derivative at the
     identity along a Hermitian traceless a equals <Phi, a>.
     """
-    if metric.n != c.n:
-        raise ValueError("metric size must be n")
-    h = metric.matrix
-    total = 0.0
-    for sub, w in c.items:
-        if sub.is_zero:
-            continue
-        b = np.array([[float(x) for x in row] for row in sub.rows], dtype=complex).T
-        k = b.shape[1]
-        if c.d == 1:
-            hb = h @ b
-        else:
-            x = b.reshape(c.n, c.d, k)
-            hb = np.einsum("ab,bdk->adk", h, x).reshape(c.n * c.d, k)
-        gram = b.conj().T @ hb
-        sign, logdet = np.linalg.slogdet(gram)
-        if sign.real <= 0 or not np.isfinite(logdet):
-            raise ValueError("degenerate Gram matrix")
-        total += float(w) * float(logdet)
-    sign, logdet_h = np.linalg.slogdet(h)
-    if sign.real <= 0:
-        raise ValueError("degenerate metric")
-    return total - float(slope_total(c)) * float(logdet_h)
+    g, moved = _moved_config(c, metric)
+    return _kn_of_moved(moved, _logdet_h(g), float(slope_total(c)))
 
 
 def extract_destabilizer(phi: MomentValue, gap_tol: float) -> list[np.ndarray]:
@@ -330,14 +312,10 @@ def balance_solve(
     c: WeightedConfiguration,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-    seed: int = 0,
 ) -> BalanceResult:
     """Descend until the moment map vanishes (Balanced), the metric
     condition number passes 1e12 (Diverged, with destabilizer hints), or
-    the iteration budget runs out.
-
-    Deterministic; the seed is recorded for interface parity with the
-    bundle solver's restart check but the flat path never draws from it.
+    the iteration budget runs out.  Deterministic.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -419,12 +397,9 @@ def _bundle_bases(b: SampledBundleConfig) -> list[tuple[float, np.ndarray]]:
 def bundle_moment_map(b: SampledBundleConfig) -> MomentValue:
     """Volume-weighted sum of the pointwise frame projectors, centered by
     the slope times total volume."""
-    phi = -b.slope * b.volume * np.eye(b.n_ambient, dtype=complex)
-    for vol, frames in b.points:
-        for w, a in zip(b.weights, frames):
-            a = np.asarray(a, dtype=complex)
-            phi = phi + (w * vol) * (a @ a.conj().T)
-    return MomentValue(phi)
+    return MomentValue(
+        _phi_from_moved(_bundle_bases(b), b.n_ambient, 1, b.slope * b.volume)
+    )
 
 
 def bundle_balance_solve(

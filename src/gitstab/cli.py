@@ -12,6 +12,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -80,18 +81,23 @@ def parse_config(path: str):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _require_config(obj, path: str) -> WeightedConfiguration:
-    if not isinstance(obj, WeightedConfiguration):
-        raise InputError(f"{path}: expected a configuration file")
-    return obj
+def _is_number(raw) -> bool:
+    """A JSON number; JSON true and false are not numbers."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
 
 
 def _complex_entry(raw, where: str) -> complex:
-    if isinstance(raw, (int, float)):
+    if _is_number(raw):
         return complex(raw)
-    if isinstance(raw, list) and len(raw) == 2:
+    if isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw)):
         return complex(float(raw[0]), float(raw[1]))
     raise InputError(f"{where}: entries must be numbers or [re, im] pairs")
+
+
+def _list_field(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{where}: must be a list")
+    return value
 
 
 def _bundle_from_dict(data: dict) -> SampledBundleConfig:
@@ -99,23 +105,37 @@ def _bundle_from_dict(data: dict) -> SampledBundleConfig:
         if key not in data:
             raise InputError(f"missing field: {key}")
     n = data["N"]
-    ranks = tuple(int(r) for r in data["ranks"])
-    weights = tuple(float(parse_rational(w)) for w in data["weights"])
+    if not _is_count(n):
+        raise InputError("N: must be a positive integer")
+    ranks = []
+    for i, r in enumerate(_list_field(data["ranks"], "ranks")):
+        if not _is_count(r):
+            raise InputError(f"ranks[{i}]: must be a positive integer")
+        ranks.append(r)
+    weights = []
+    for i, w in enumerate(_list_field(data["weights"], "weights")):
+        try:
+            weights.append(float(parse_rational(w)))
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise InputError(f"weights[{i}]: bad rational ({exc})") from exc
     points = []
-    for t, entry in enumerate(data["points"]):
+    for t, entry in enumerate(_list_field(data["points"], "points")):
         if not isinstance(entry, dict) or "volume" not in entry or "frames" not in entry:
             raise InputError(f"points[{t}]: needs volume and frames")
+        volume = entry["volume"]
+        if not _is_number(volume):
+            raise InputError(f"points[{t}].volume: must be a number")
         frames = []
-        for i, rows in enumerate(entry["frames"]):
+        for i, rows in enumerate(_list_field(entry["frames"], f"points[{t}].frames")):
             where = f"points[{t}].frames[{i}]"
-            mat = np.array(
-                [[_complex_entry(x, where) for x in row] for row in rows],
-                dtype=complex,
-            )
-            frames.append(mat)
-        points.append((float(entry["volume"]), tuple(frames)))
+            entries = [
+                [_complex_entry(x, where) for x in _list_field(row, where)]
+                for row in _list_field(rows, where)
+            ]
+            frames.append(np.array(entries, dtype=complex))
+        points.append((float(volume), tuple(frames)))
     return SampledBundleConfig(
-        n_ambient=n, weights=weights, ranks=ranks, points=tuple(points)
+        n_ambient=n, weights=tuple(weights), ranks=tuple(ranks), points=tuple(points)
     )
 
 
@@ -126,9 +146,9 @@ def _mfiltration_from_dict(data: dict) -> MFiltration:
     if not _is_count(n):
         raise InputError("n: must be a positive integer")
     chains = []
-    for s, raw_chain in enumerate(data["filtrations"]):
+    for s, raw_chain in enumerate(_list_field(data["filtrations"], "filtrations")):
         chain = []
-        for j, step in enumerate(raw_chain):
+        for j, step in enumerate(_list_field(raw_chain, f"filtrations[{s}]")):
             where = f"filtrations[{s}][{j}]"
             if not isinstance(step, dict) or "weight" not in step or "basis" not in step:
                 raise InputError(f"{where}: needs weight and basis")
@@ -160,9 +180,7 @@ def _load_extras(path: Optional[str], ambient: int) -> tuple:
 
 
 def _basis_lists(sub: Optional[Subspace]):
-    if sub is None:
-        return None
-    return [[format_rational(x) for x in row] for row in sub.rows]
+    return None if sub is None else sub.basis_rows()
 
 
 def _verdict_dict(v) -> dict:
@@ -183,25 +201,21 @@ def _verdict_dict(v) -> dict:
     }
 
 
-def _flag_dict(flag) -> list:
-    return [_basis_lists(step) for step in flag.steps]
-
-
-def _graded_dict(report) -> list:
-    return [
-        {
-            "slope": str(step.slope),
-            "status": step.verdict.status.value,
-            "confidence": step.verdict.confidence.value,
-            "n": step.config.n,
-            "d": step.config.d,
-        }
-        for step in report
-    ]
-
-
-def _matrix_lists(m) -> list:
-    return [[format_rational(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+def _filtration_result(flag, graded) -> dict:
+    return {
+        "flag": [_basis_lists(step) for step in flag.steps],
+        "graded": [
+            {
+                "slope": str(step.slope),
+                "status": step.verdict.status.value,
+                "confidence": step.verdict.confidence.value,
+                "n": step.config.n,
+                "d": step.config.d,
+            }
+            for step in graded
+        ],
+        "slopes": [str(step.slope) for step in graded],
+    }
 
 
 def _metric_lists(h: np.ndarray) -> list:
@@ -231,27 +245,28 @@ class _Runner:
         self.inputs: list = []
         self.exit_code = 0
 
-    def add_input(self, path: str, digest: str):
+    def load(self, path: str, kind=WeightedConfiguration, what="configuration"):
+        """Parse an input file of the given kind and record its digest."""
+        obj, digest = parse_config(path)
+        if not isinstance(obj, kind):
+            raise InputError(f"{path}: expected a {what} file")
         self.inputs.append({"path": path, "sha256": digest})
+        return obj
 
-    def check_expect(self, actual: str) -> Optional[dict]:
+    def emit(self, result: dict, seed=None, actual: Optional[str] = None) -> int:
+        """Print the report; with --expect, compare it against actual."""
         wanted = getattr(self.args, "expect", None)
-        if wanted is None:
-            return None
-        matched = wanted.lower() == actual.lower()
-        if not matched:
-            self.exit_code = 1
-        return {"wanted": wanted, "got": actual, "matched": matched}
-
-    def emit(self, result: dict, seed=None, params=None) -> int:
+        if wanted is not None and actual is not None:
+            matched = wanted.lower() == actual.lower()
+            if not matched:
+                self.exit_code = 1
+            result["expect"] = {"wanted": wanted, "got": actual, "matched": matched}
         report = {
             "command": self.command,
             "version": __version__,
             "inputs": self.inputs,
             "result": result,
         }
-        if params is not None:
-            report["params"] = params
         if seed is not None:
             report["seed"] = seed
         if not self.args.no_timestamp:
@@ -265,58 +280,35 @@ class _Runner:
 
 def cmd_check(args) -> int:
     run = _Runner(args, "check")
-    obj, digest = parse_config(args.config)
-    c = _require_config(obj, args.config)
-    run.add_input(args.config, digest)
+    c = run.load(args.config)
     extras = _load_extras(args.extra_h, c.n)
     v = decide(c, args.depth, numeric=args.numeric, extra=extras)
-    result = _verdict_dict(v)
-    expect = run.check_expect(v.status.value)
-    if expect is not None:
-        result["expect"] = expect
-    return run.emit(result)
+    return run.emit(_verdict_dict(v), actual=v.status.value)
 
 
 def cmd_hn(args) -> int:
     run = _Runner(args, "hn")
-    obj, digest = parse_config(args.config)
-    c = _require_config(obj, args.config)
-    run.add_input(args.config, digest)
+    c = run.load(args.config)
     extras = _load_extras(args.extra_h, c.n)
-    flag, graded = hn_filtration(c, args.depth, extra=extras)
-    result = {
-        "flag": _flag_dict(flag),
-        "graded": _graded_dict(graded),
-        "slopes": [str(step.slope) for step in graded],
-    }
-    return run.emit(result)
+    return run.emit(_filtration_result(*hn_filtration(c, args.depth, extra=extras)))
 
 
 def cmd_jh(args) -> int:
     run = _Runner(args, "jh")
-    obj, digest = parse_config(args.config)
-    c = _require_config(obj, args.config)
-    run.add_input(args.config, digest)
+    c = run.load(args.config)
     extras = _load_extras(args.extra_h, c.n)
     try:
         flag, graded = jh_filtration(c, args.depth, extra=extras)
     except (RefinementObstruction, ValueError) as exc:
         run.exit_code = 1
         return run.emit({"error": str(exc)})
-    result = {
-        "flag": _flag_dict(flag),
-        "graded": _graded_dict(graded),
-        "slopes": [str(step.slope) for step in graded],
-    }
-    return run.emit(result)
+    return run.emit(_filtration_result(flag, graded))
 
 
 def cmd_balance(args) -> int:
     run = _Runner(args, "balance")
-    obj, digest = parse_config(args.config)
-    c = _require_config(obj, args.config)
-    run.add_input(args.config, digest)
-    r = balance_solve(c, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    c = run.load(args.config)
+    r = balance_solve(c, tol=args.tol, max_iter=args.max_iter)
     certificates = []
     for hint in r.destabilizer_hint or ():
         h = exactify_destabilizer(c, hint, args.depth)
@@ -333,19 +325,13 @@ def cmd_balance(args) -> int:
         "metric": _metric_lists(r.metric.matrix),
         "certificates": certificates,
     }
-    expect = run.check_expect(r.status.value)
-    if expect is not None:
-        result["expect"] = expect
-    return run.emit(result, seed=args.seed)
+    return run.emit(result, actual=r.status.value)
 
 
 def cmd_bundle_balance(args) -> int:
     run = _Runner(args, "bundle-balance")
-    obj, digest = parse_config(args.bundle)
-    if not isinstance(obj, SampledBundleConfig):
-        raise InputError(f"{args.bundle}: expected a bundle sample file")
-    run.add_input(args.bundle, digest)
-    r = bundle_balance_solve(obj, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    b = run.load(args.bundle, SampledBundleConfig, "bundle sample")
+    r = bundle_balance_solve(b, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     result = {
         "status": r.status.value,
         "residual": r.residual,
@@ -354,24 +340,19 @@ def cmd_bundle_balance(args) -> int:
         "metric": _metric_lists(r.metric.matrix),
         "metric_agreement": r.metric_agreement,
     }
-    expect = run.check_expect(r.status.value)
-    if expect is not None:
-        result["expect"] = expect
-    return run.emit(result, seed=args.seed)
+    return run.emit(result, seed=args.seed, actual=r.status.value)
 
 
 def cmd_gm(args) -> int:
     run = _Runner(args, "gm")
-    obj, digest = parse_config(args.config)
-    c = _require_config(obj, args.config)
-    run.add_input(args.config, digest)
+    c = run.load(args.config)
     try:
         p = gm_forward(c)
     except PackedPointError as exc:
         raise InputError(f"{args.config}: {exc}") from exc
     total = sum(p.blocks)
     result = {
-        "matrix": _matrix_lists(p.matrix),
+        "matrix": p.matrix.to_strings(),
         "blocks": list(p.blocks),
         "weights": None
         if p.weights is None
@@ -388,9 +369,7 @@ def cmd_gm(args) -> int:
 
 def cmd_gale(args) -> int:
     run = _Runner(args, "gale")
-    obj, digest = parse_config(args.config)
-    c = _require_config(obj, args.config)
-    run.add_input(args.config, digest)
+    c = run.load(args.config)
     try:
         g = gale_transform(c)
     except PackedPointError as exc:
@@ -400,36 +379,25 @@ def cmd_gale(args) -> int:
 
 def cmd_orbit_eq(args) -> int:
     run = _Runner(args, "orbit-eq")
-    obj_a, dig_a = parse_config(args.config_a)
-    obj_b, dig_b = parse_config(args.config_b)
-    a = _require_config(obj_a, args.config_a)
-    b = _require_config(obj_b, args.config_b)
-    run.add_input(args.config_a, dig_a)
-    run.add_input(args.config_b, dig_b)
+    a = run.load(args.config_a)
+    b = run.load(args.config_b)
     try:
         r = orbit_equivalent(a, b, trials=args.trials, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     result = {
         "status": r.status.value,
-        "witness": None if r.witness is None else _matrix_lists(r.witness),
+        "witness": None if r.witness is None else r.witness.to_strings(),
     }
-    expect = run.check_expect(r.status.value)
-    if expect is not None:
-        result["expect"] = expect
-    return run.emit(result, seed=args.seed)
+    return run.emit(result, seed=args.seed, actual=r.status.value)
 
 
 def cmd_tensor(args) -> int:
     run = _Runner(args, "tensor")
-    obj_a, dig_a = parse_config(args.filt_a)
-    obj_b, dig_b = parse_config(args.filt_b)
-    if not isinstance(obj_a, MFiltration) or not isinstance(obj_b, MFiltration):
-        raise InputError("tensor expects two filtration-family files")
-    run.add_input(args.filt_a, dig_a)
-    run.add_input(args.filt_b, dig_b)
+    fa = run.load(args.filt_a, MFiltration, "filtration-family")
+    fb = run.load(args.filt_b, MFiltration, "filtration-family")
     try:
-        out = tensor_filtrations(obj_a, obj_b)
+        out = tensor_filtrations(fa, fb)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     result = {"filtration": _mfiltration_dict(out)}
@@ -471,10 +439,7 @@ def cmd_cone(args) -> int:
         "x": [format_rational(x) for x in report.x],
         "region": report.region.value,
     }
-    expect = run.check_expect(report.region.value)
-    if expect is not None:
-        result["expect"] = expect
-    return run.emit(result)
+    return run.emit(result, actual=report.region.value)
 
 
 def cmd_probe(args) -> int:
@@ -515,6 +480,27 @@ def cmd_corpus(args) -> int:
     return run.emit(summary)
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {raw}")
+    return value
+
+
+def _nonnegative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {raw}")
+    return value
+
+
+def _positive_float(raw: str) -> float:
+    value = float(raw)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number: {raw}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gitstab",
@@ -526,12 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, depth=False, expect=False, solver=False, seed=False):
         p.add_argument("--no-timestamp", action="store_true")
         if depth:
-            p.add_argument("--depth", type=int, default=3)
+            p.add_argument("--depth", type=_positive_int, default=3)
         if expect:
             p.add_argument("--expect", type=str, default=None)
         if solver:
-            p.add_argument("--tol", type=float, default=1e-10)
-            p.add_argument("--max-iter", type=int, default=10_000)
+            p.add_argument("--tol", type=_positive_float, default=1e-10)
+            p.add_argument("--max-iter", type=_nonnegative_int, default=10_000)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -556,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("balance", help="moment-map descent on a configuration")
     p.add_argument("config")
-    common(p, depth=True, expect=True, solver=True, seed=True)
+    common(p, depth=True, expect=True, solver=True)
     p.set_defaults(func=cmd_balance)
 
     p = sub.add_parser("bundle-balance", help="descent on a sampled bundle")
@@ -577,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit-eq", help="test two configurations for a common orbit")
     p.add_argument("config_a")
     p.add_argument("config_b")
-    p.add_argument("--trials", type=int, default=16)
+    p.add_argument("--trials", type=_nonnegative_int, default=16)
     common(p, expect=True, seed=True)
     p.set_defaults(func=cmd_orbit_eq)
 
@@ -598,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=str, required=True)
     p.add_argument("--weights", type=str, required=True)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_nonnegative_int, default=20)
     common(p, depth=True, seed=True)
     p.set_defaults(func=cmd_probe)
 

@@ -78,7 +78,6 @@ class NecessaryDirectionReport:
     verdict: Verdict
     margins: tuple[Optional[Fraction], ...]
     membership: Optional[MembershipReport]
-    consistent: bool
 
 
 def necessary_direction_check(
@@ -108,16 +107,8 @@ def necessary_direction_check(
                 raise InternalSoundnessError(
                     f"semistable verdict with negative margin at item {idx}"
                 )
-    # Reaching this point means the one proven implication was not violated.
-    consistent = not (
-        verdict.is_semistable
-        and any(m is not None and m < 0 for m in margins)
-    )
     return NecessaryDirectionReport(
-        verdict=verdict,
-        margins=margins,
-        membership=membership,
-        consistent=consistent,
+        verdict=verdict, margins=margins, membership=membership
     )
 
 

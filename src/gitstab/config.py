@@ -21,6 +21,7 @@ from .linalg import (
     meet,
     parse_rational,
     quotient_image,
+    restrict_to,
     span,
     zero_subspace,
 )
@@ -163,12 +164,8 @@ def induced_sub(c: WeightedConfiguration, h: Subspace) -> WeightedConfiguration:
     if h.is_zero:
         raise ValueError("induced_sub needs a nonzero h")
     hw = tensor_with_full_w(h, c.d)
-    items = []
-    for sub, w in c.items:
-        inter = meet(sub, hw)
-        coords = [hw.coordinates_of(v) for v in inter.rows]
-        items.append((span(coords, h.dim * c.d), w))
-    return WeightedConfiguration(h.dim, c.d, tuple(items))
+    items = tuple((restrict_to(meet(sub, hw), hw), w) for sub, w in c.items)
+    return WeightedConfiguration(h.dim, c.d, items)
 
 
 def induced_quotient(c: WeightedConfiguration, h: Subspace) -> WeightedConfiguration:
@@ -220,15 +217,22 @@ def apply_gl(c: WeightedConfiguration, g: RationalMatrix) -> WeightedConfigurati
         raise DimensionMismatchError("g must be n x n")
     if g.rank() != c.n:
         raise ValueError("g must be invertible")
-    d = c.d
-    items = []
-    for sub, w in c.items:
-        moved = []
-        for v in sub.rows:
-            cols = [g.mul_vector([v[i * d + l] for i in range(c.n)]) for l in range(d)]
-            moved.append([cols[l][i] for i in range(c.n) for l in range(d)])
-        items.append((span(moved, c.n * d), w))
-    return WeightedConfiguration(c.n, d, tuple(items))
+    items = tuple(
+        (span(act_on_rows(g, sub.rows, c.d), c.n * c.d), w) for sub, w in c.items
+    )
+    return WeightedConfiguration(c.n, c.d, items)
+
+
+def act_on_rows(
+    g: RationalMatrix, rows: Sequence[Sequence[Fraction]], d: int
+) -> list[list[Fraction]]:
+    """g tensor identity applied to each V-major vector of Q^(n*d)."""
+    n = g.cols
+    moved = []
+    for v in rows:
+        cols = [g.mul_vector([v[i * d + l] for i in range(n)]) for l in range(d)]
+        moved.append([cols[l][i] for i in range(g.rows) for l in range(d)])
+    return moved
 
 
 def config_to_dict(c: WeightedConfiguration) -> dict:
@@ -236,10 +240,7 @@ def config_to_dict(c: WeightedConfiguration) -> dict:
         "n": c.n,
         "d": c.d,
         "items": [
-            {
-                "weight": format_rational(w),
-                "basis": [[format_rational(x) for x in row] for row in sub.rows],
-            }
+            {"weight": format_rational(w), "basis": sub.basis_rows()}
             for sub, w in c.items
         ],
     }

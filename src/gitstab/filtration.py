@@ -24,11 +24,15 @@ from .config import (
 )
 from .linalg import (
     Subspace,
+    complement_chart,
     full_subspace,
     join,
     lift_from_quotient,
+    lift_into,
     meet,
     parse_rational,
+    quotient_image,
+    restrict_to,
     span,
     zero_subspace,
 )
@@ -73,24 +77,6 @@ class GradedStep:
 GradedReport = tuple[GradedStep, ...]
 
 
-def restrict_to(inner: Subspace, outer: Subspace) -> Subspace:
-    """inner, a subspace of outer, written in outer's canonical coordinates."""
-    coords = [outer.coordinates_of(v) for v in inner.rows]
-    return span(coords, outer.dim)
-
-
-def lift_into(sub: Subspace, outer: Subspace) -> Subspace:
-    """A subspace given in outer's coordinates, as a subspace of the ambient."""
-    lifted = []
-    for y in sub.rows:
-        vec = [Fraction(0)] * outer.ambient_dim
-        for coef, row in zip(y, outer.rows):
-            if coef:
-                vec = [a + coef * b for a, b in zip(vec, row)]
-        lifted.append(vec)
-    return span(lifted, outer.ambient_dim)
-
-
 def _scan(
     c: WeightedConfiguration, depth: int, extra: Sequence[Subspace], seen: dict
 ) -> tuple[list[Subspace], Verdict, list[Subspace]]:
@@ -123,8 +109,6 @@ def _graded_report(
 
 
 def _map_extras_to_quotient(extra, v1: Subspace):
-    from .linalg import quotient_image
-
     mapped = []
     for e in extra:
         img = quotient_image(e, v1)
@@ -242,7 +226,7 @@ def _split_summands(
         want = c.n - head.dim
         # The coordinate chart transverse to head is always a legitimate
         # complement even when the lattice closure never produced it.
-        comps = list(cands) + [_coordinate_complement(head)]
+        comps = list(cands) + [complement_chart(head)]
         for comp in comps:
             if comp.dim != want or meet(head, comp).dim != 0:
                 continue
@@ -267,15 +251,6 @@ def _split_summands(
                 lift_into(s, comp) for s in right
             ]
     return v, None
-
-
-def _coordinate_complement(h: Subspace) -> Subspace:
-    one, zero = Fraction(1), Fraction(0)
-    rows = []
-    for j in range(h.ambient_dim):
-        if j not in h.pivots:
-            rows.append([one if t == j else zero for t in range(h.ambient_dim)])
-    return span(rows, h.ambient_dim)
 
 
 def _cut_extras(extra: Sequence[Subspace], outer: Subspace):

@@ -376,16 +376,30 @@ def kernel(m: RationalMatrix) -> Subspace:
     return span(basis, m.cols)
 
 
+def complement_chart(h: Subspace) -> Subspace:
+    """The coordinate subspace on h's non-pivot coordinates.
+
+    It meets h in 0 and joins it to the full space.  Its unit rows at
+    increasing coordinates are already in reduced echelon form.
+    """
+    pivot_set = set(h.pivots)
+    chart = [j for j in range(h.ambient_dim) if j not in pivot_set]
+    zero, one = Fraction(0), Fraction(1)
+    rows = tuple(
+        tuple(one if t == j else zero for t in range(h.ambient_dim)) for j in chart
+    )
+    return Subspace(h.ambient_dim, rows, tuple(chart))
+
+
 def quotient_image(k: Subspace, h: Subspace) -> Subspace:
-    """Image of k in the quotient by h, in the pivot-complement chart.
+    """Image of k in the quotient by h, in the complement chart.
 
     The chart drops h's pivot coordinates after eliminating them; the
     remaining coordinates index a canonical copy of the quotient space.
     """
     if k.ambient_dim != h.ambient_dim:
         raise DimensionMismatchError("ambient mismatch")
-    pivot_set = set(h.pivots)
-    chart = [j for j in range(h.ambient_dim) if j not in pivot_set]
+    chart = complement_chart(h).pivots
     images = []
     for v in k.rows:
         w = h.reduce_vector(v)
@@ -400,8 +414,7 @@ def lift_from_quotient(y: Sequence, h: Subspace) -> Vector:
     again returns y.
     """
     vec = _to_vector(y)
-    pivot_set = set(h.pivots)
-    chart = [j for j in range(h.ambient_dim) if j not in pivot_set]
+    chart = complement_chart(h).pivots
     if len(vec) != len(chart):
         raise DimensionMismatchError("quotient coordinate length mismatch")
     zero = Fraction(0)
@@ -409,6 +422,24 @@ def lift_from_quotient(y: Sequence, h: Subspace) -> Vector:
     for coord, j in zip(vec, chart):
         out[j] = coord
     return tuple(out)
+
+
+def restrict_to(inner: Subspace, outer: Subspace) -> Subspace:
+    """inner, a subspace of outer, written in outer's canonical coordinates."""
+    coords = [outer.coordinates_of(v) for v in inner.rows]
+    return span(coords, outer.dim)
+
+
+def lift_into(sub: Subspace, outer: Subspace) -> Subspace:
+    """A subspace given in outer's coordinates, as a subspace of the ambient."""
+    lifted = []
+    for y in sub.rows:
+        vec = [Fraction(0)] * outer.ambient_dim
+        for coef, row in zip(y, outer.rows):
+            if coef:
+                vec = [a + coef * b for a, b in zip(vec, row)]
+        lifted.append(vec)
+    return span(lifted, outer.ambient_dim)
 
 
 def subspace_digest(subspaces: Iterable[Subspace]) -> str:

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .config import (
     WeightedConfiguration,
+    act_on_rows,
     intersection_dims,
     slope_at,
     slope_total,
@@ -26,6 +27,8 @@ from .config import (
 from .linalg import (
     RationalMatrix,
     Subspace,
+    _rref,
+    complement_chart,
     join,
     meet,
     span,
@@ -113,10 +116,7 @@ def _jump_positions(vectors: list, width: int) -> list[int]:
     Elimination by trailing entries: reduce rows so their last nonzero
     positions are distinct; those positions are the jumps.
     """
-    rows = [list(reversed(v)) for v in vectors]
-    from .linalg import _rref
-
-    reduced, pivots = _rref(rows)
+    _, pivots = _rref([list(reversed(v)) for v in vectors])
     return sorted(width - p for p in pivots)
 
 
@@ -127,18 +127,11 @@ def mu_general(c: WeightedConfiguration, lam: OnePS) -> Fraction:
     q with every entry repeated d times (the flag on V tensor W refines the
     frame flag on V by the d multiplicity directions).
     """
-    n, d = c.n, c.d
     inv = lam.frame.inverse()
-    q_prime = [q for q in lam.q for _ in range(d)]
+    q_prime = [q for q in lam.q for _ in range(c.d)]
     total = Fraction(0)
     for sub, w in c.items:
-        if sub.is_zero:
-            continue
-        transformed = []
-        for v in sub.rows:
-            cols = [inv.mul_vector([v[i * d + l] for i in range(n)]) for l in range(d)]
-            transformed.append([cols[l][i] for i in range(n) for l in range(d)])
-        jumps = _jump_positions(transformed, n * d)
+        jumps = _jump_positions(act_on_rows(inv, sub.rows, c.d), c.n * c.d)
         total += w * sum(q_prime[t - 1] for t in jumps)
     return total
 
@@ -146,16 +139,9 @@ def mu_general(c: WeightedConfiguration, lam: OnePS) -> Fraction:
 def adapted_frame(h: Subspace) -> RationalMatrix:
     """Invertible frame whose first dim(h) columns span h.
 
-    Completed by standard basis vectors at h's non-pivot coordinates.
+    Completed by the rows of h's complement chart.
     """
-    n = h.ambient_dim
-    cols = [list(row) for row in h.rows]
-    pivot_set = set(h.pivots)
-    one, zero = Fraction(1), Fraction(0)
-    for j in range(n):
-        if j not in pivot_set:
-            cols.append([one if i == j else zero for i in range(n)])
-    return RationalMatrix.from_columns(cols)
+    return RationalMatrix.from_columns(h.rows + complement_chart(h).rows)
 
 
 def lambda_for_subspace(h: Subspace) -> OnePS:

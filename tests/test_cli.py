@@ -1,8 +1,13 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from gitstab.cli import main
+from gitstab.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -153,6 +158,53 @@ class TestCheck:
             main(["--version"])
         assert err.value.code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "CONFIG", "--depth", "0"],
+            ["check", "CONFIG", "--depth", "-1"],
+            ["hn", "CONFIG", "--depth", "0"],
+            ["jh", "CONFIG", "--depth", "0"],
+            ["balance", "CONFIG", "--tol", "0"],
+            ["probe", "--n", "2", "--k", "1,1,1", "--weights", "1,1,1", "--trials", "-2"],
+        ],
+    )
+    def test_bad_numeric_flag_exits_two(self, tmp_path, capsys, argv):
+        path = stable_triple(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main([path if a == "CONFIG" else a for a in argv] + ["--no-timestamp"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def _readme_usage() -> dict:
+    """Flags listed per subcommand in the README's CLI usage block."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## CLI", 1)[1]
+    block = section.split("```", 2)[1]
+    usage = {}
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["gitstab"]:
+            usage[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    return usage
+
+
+def _parser_flags() -> dict:
+    (subparsers,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    flags = {}
+    for name, sub in subparsers.choices.items():
+        opts = {o for a in sub._actions for o in a.option_strings}
+        flags[name] = opts - {"--no-timestamp", "-h", "--help"}
+    return flags
+
+
+def test_readme_usage_matches_parser():
+    assert _readme_usage() == _parser_flags()
+
 
 class TestFiltrationCommands:
     def test_hn_slopes(self, tmp_path, capsys):
@@ -198,6 +250,12 @@ class TestBalanceCommands:
         assert result["status"] == "Balanced"
         assert result["certificates"] == []
         assert result["residual"] <= 1e-10
+        assert "seed" not in json.loads(out)
+
+    def test_seed_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["balance", stable_triple(tmp_path), "--seed", "1"])
+        assert err.value.code == 2
 
     def test_diverged_with_certificate(self, tmp_path, capsys):
         code, out = run_cli(
@@ -239,6 +297,34 @@ class TestBalanceCommands:
             capsys, ["bundle-balance", stable_triple(tmp_path), "--no-timestamp"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("N", {"N": "3"}),
+            ("N", {"N": True}),
+            ("ranks[0]", {"ranks": [True]}),
+            ("ranks", {"ranks": 1}),
+            ("weights[0]", {"weights": [None]}),
+            ("points", {"points": 5}),
+            ("points[0].frames", {"points": [{"volume": 1.0, "frames": 5}]}),
+            ("points[0].volume", {"points": [{"volume": "1", "frames": [[[1]]]}]}),
+            ("points[0].frames[0]", {"points": [{"volume": 1.0, "frames": [[[True]]]}]}),
+            ("points[0].frames[0]", {"points": [{"volume": 1.0, "frames": [[[[None, 0]]]]}]}),
+        ],
+    )
+    def test_malformed_bundle_names_field(self, tmp_path, capsys, field, change):
+        data = {
+            "N": 1,
+            "weights": ["1"],
+            "ranks": [1],
+            "points": [{"volume": 1.0, "frames": [[[1]]]}],
+        }
+        data.update(change)
+        path = write(tmp_path, "bundle.json", data)
+        code, out = run_cli(capsys, ["bundle-balance", path, "--no-timestamp"])
+        assert code == 2
+        assert json.loads(out)["error"].startswith(field + ":")
 
 
 class TestCorrespondenceCommands:
@@ -337,6 +423,19 @@ class TestTensorCommand:
         code, out = run_cli(capsys, ["tensor", path, path, "--no-timestamp"])
         assert code == 2
         assert field in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "field, data",
+        [
+            ("filtrations", {"n": 2, "filtrations": 5}),
+            ("filtrations[0]", {"n": 2, "filtrations": [5]}),
+        ],
+    )
+    def test_malformed_family_names_field(self, tmp_path, capsys, field, data):
+        path = write(tmp_path, "bad.json", data)
+        code, out = run_cli(capsys, ["tensor", path, path, "--no-timestamp"])
+        assert code == 2
+        assert json.loads(out)["error"].startswith(field + ":")
 
 
 class TestConeCommand:

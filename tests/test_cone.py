@@ -101,7 +101,6 @@ class TestNecessaryDirection:
         assert r.verdict.status == Status.STRICTLY_SEMISTABLE
         assert r.margins == (F(0), F(0))
         assert r.membership.region == Region.BOUNDARY
-        assert r.consistent
 
     def test_three_generic_lines(self):
         c = configuration(
@@ -119,7 +118,6 @@ class TestNecessaryDirection:
         assert r.verdict.status == Status.UNSTABLE
         assert r.margins == (F(-1, 2),)
         assert r.membership.region == Region.OUTSIDE
-        assert r.consistent
 
     def test_zero_item_margin_none(self):
         c = configuration(2, 1, [(zero_item(2, 1), 1), (line(2, 1, 0), 1)])

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from gitstab.config import configuration, slope_at, slope_total
-from gitstab.linalg import RationalMatrix, full_subspace, join, meet, span
+from gitstab.linalg import (
+    RationalMatrix,
+    complement_chart,
+    full_subspace,
+    join,
+    meet,
+    span,
+)
 from gitstab.stability import (
     Confidence,
     InternalSoundnessError,
@@ -130,6 +137,15 @@ class TestAdaptedFrame:
             assert frame.rank() == 4
             first = span([list(v) for v in frame.column_list()[: h.dim]], 4)
             assert first == h
+            rest = span([list(v) for v in frame.column_list()[h.dim :]], 4)
+            units = [
+                [Fraction(int(i == j)) for i in range(4)]
+                for j in range(4)
+                if j not in h.pivots
+            ]
+            assert rest == span(units, 4) == complement_chart(h)
+            assert meet(h, rest).is_zero
+            assert join(h, rest) == full_subspace(4)
 
 
 class TestCandidates:
