@@ -77,7 +77,7 @@ def parse_config(path: str):
         if "filtrations" in data:
             return _mfiltration_from_dict(data), digest
         return config_from_dict(data), digest
-    except (ConfigSchemaError, ValueError) as exc:
+    except (ConfigSchemaError, ValueError, InputError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -86,11 +86,19 @@ def _is_number(raw) -> bool:
     return isinstance(raw, (int, float)) and not isinstance(raw, bool)
 
 
+def _float(raw, where: str) -> float:
+    """A JSON number as a float; integers past the float range are refused."""
+    try:
+        return float(raw)
+    except OverflowError as exc:
+        raise InputError(f"{where}: number too large") from exc
+
+
 def _complex_entry(raw, where: str) -> complex:
     if _is_number(raw):
-        return complex(raw)
+        return complex(_float(raw, where))
     if isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw)):
-        return complex(float(raw[0]), float(raw[1]))
+        return complex(_float(raw[0], where), _float(raw[1], where))
     raise InputError(f"{where}: entries must be numbers or [re, im] pairs")
 
 
@@ -116,7 +124,7 @@ def _bundle_from_dict(data: dict) -> SampledBundleConfig:
     for i, w in enumerate(_list_field(data["weights"], "weights")):
         try:
             weights.append(float(parse_rational(w)))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
             raise InputError(f"weights[{i}]: bad rational ({exc})") from exc
     points = []
     for t, entry in enumerate(_list_field(data["points"], "points")):
@@ -133,7 +141,7 @@ def _bundle_from_dict(data: dict) -> SampledBundleConfig:
                 for row in _list_field(rows, where)
             ]
             frames.append(np.array(entries, dtype=complex))
-        points.append((float(volume), tuple(frames)))
+        points.append((_float(volume, f"points[{t}].volume"), tuple(frames)))
     return SampledBundleConfig(
         n_ambient=n, weights=tuple(weights), ranks=tuple(ranks), points=tuple(points)
     )

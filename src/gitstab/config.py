@@ -19,6 +19,7 @@ from .linalg import (
     Subspace,
     format_rational,
     meet,
+    meet_dim,
     parse_rational,
     quotient_image,
     restrict_to,
@@ -128,7 +129,7 @@ def supp_v(k: Subspace, n: int, d: int) -> Subspace:
 
 @lru_cache(maxsize=_CACHE)
 def _meet_dim_with_tensor(k: Subspace, h: Subspace, d: int) -> int:
-    return meet(k, tensor_with_full_w(h, d)).dim
+    return meet_dim(tensor_with_full_w(h, d), k)
 
 
 def intersection_dims(c: WeightedConfiguration, h: Subspace) -> tuple[int, ...]:

@@ -3,16 +3,23 @@
 A subspace of Q^a is stored by the reduced row echelon basis of its spanning
 vectors.  That form is unique, so two ``Subspace`` values describe the same
 set of vectors exactly when they compare equal, and both types here are
-hashable, which lets the lattice operations be memoized.  Nothing in this
-module touches floating point.
+hashable, which lets the lattice operations be memoized.
+
+Row reduction is fraction-free: each row is scaled once to a primitive
+integer row, eliminated with integer combinations and divided by its content
+after every step (Bareiss-style).  The canonical Fraction rows are built once,
+when a result becomes a ``Subspace``, which also keeps the integer rows for
+later meets, joins and dimension counts.  Nothing in this module touches
+floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -50,36 +57,114 @@ def _to_vector(row: Sequence) -> Vector:
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduce in place; return (nonzero echelon rows, pivot columns)."""
-    if not rows:
-        return (), ()
-    width = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][col]
-        if lead != 1:
-            inv = 1 / lead
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                c = rows[i][col]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - c * b for a, b in zip(ri, rr)]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+def _integer_row(row: Sequence) -> tuple[list[int], int]:
+    """(den * row, den) for den the lcm of the entries' denominators.
+
+    Entries are ints or Fractions.
+    """
+    den = 1
+    for x in row:
+        q = x.denominator
+        if den % q:
+            den = lcm(den, q)
+    if den == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _primitive_rows(rows: Iterable[Sequence]) -> list[list[int]]:
+    """Each nonzero row scaled to its primitive integer multiple."""
+    out = []
+    for row in rows:
+        ints, _ = _integer_row(row)
+        g = gcd(*ints)
+        if g == 1:
+            out.append(ints)
+        elif g:
+            out.append([x // g for x in ints])
+    return out
+
+
+def _lead(row: Sequence[int], start: int) -> Optional[int]:
+    for j in range(start, len(row)):
+        if row[j]:
+            return j
+    return None
+
+
+def _cancel(x: Sequence[int], y: Sequence[int], col: int) -> list[int]:
+    """A primitive multiple of aa*x - bb*y, chosen so column col vanishes."""
+    a, b = y[col], x[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = [a * s - b * t for s, t in zip(x, y)]
+    g = gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> dict[int, Sequence[int]]:
+    """Forward-only fraction-free elimination of integer rows.
+
+    Each row is reduced against the rows kept so far until its leading
+    column is new, and kept unless it vanished.  Rows stay integral, and
+    primitive when the input rows are (Bareiss-style, with gcd normalisation
+    after each step).  Returns the kept rows keyed by leading column; their
+    number is the rank.
+    """
+    basis: dict[int, Sequence[int]] = {}
+    for row in rows:
+        lead = _lead(row, 0)
+        while lead in basis:
+            row = _cancel(row, basis[lead], lead)
+            lead = _lead(row, lead + 1)
+        if lead is not None:
+            basis[lead] = row
+    return basis
+
+
+def _reduced_ints(
+    rows: Iterable[Sequence[int]],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Integer form of the reduced row echelon basis of primitive rows.
+
+    Back-substitution clears every pivot column above its pivot; each row
+    is then the primitive integer multiple, with positive pivot entry, of
+    the corresponding canonical RREF row.
+    """
+    basis = _echelon(rows)
+    pivots = tuple(sorted(basis))
+    reduced = [basis[p] for p in pivots]
+    for i in range(len(pivots) - 1, 0, -1):
+        p, below = pivots[i], reduced[i]
+        for k in range(i):
+            if reduced[k][p]:
+                reduced[k] = _cancel(reduced[k], below, p)
+    ints = tuple(
+        tuple(row) if row[p] > 0 else tuple(-x for x in row)
+        for row, p in zip(reduced, pivots)
+    )
+    return ints, pivots
+
+
+_ZERO = Fraction(0)
+# canonical entries repeat across subspaces, so equal ones share one object
+_fraction = lru_cache(maxsize=1 << 12)(Fraction)
+
+
+def _canonical_rows(
+    ints: Sequence[Sequence[int]], pivots: Sequence[int]
+) -> tuple[Vector, ...]:
+    """The canonical Fraction RREF rows: each integer row over its pivot."""
+    return tuple(
+        tuple(_fraction(x, row[p]) if x else _ZERO for x in row)
+        for row, p in zip(ints, pivots)
+    )
+
+
+def _rref(rows: Iterable[Sequence]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """(nonzero reduced row echelon rows, pivot columns) of ints/Fractions."""
+    ints, pivots = _reduced_ints(_primitive_rows(rows))
+    return _canonical_rows(ints, pivots), pivots
 
 
 @dataclass(frozen=True)
@@ -170,34 +255,39 @@ class RationalMatrix:
         )
 
     def rank(self) -> int:
-        reduced, _ = _rref([list(r) for r in self.row_list()])
-        return len(reduced)
+        return len(_echelon(_primitive_rows(self.row_list())))
 
     def det(self) -> Fraction:
+        """Bareiss elimination on the rows scaled to integers.
+
+        Every intermediate entry is a minor of the integer matrix, so each
+        division is exact and the last pivot is its determinant.
+        """
         if self.rows != self.cols:
             raise DimensionMismatchError("determinant of non-square matrix")
         n = self.rows
-        rows = [list(self.row(i)) for i in range(n)]
-        sign = 1
-        det = Fraction(1)
-        for col in range(n):
-            pivot = None
-            for i in range(col, n):
-                if rows[i][col] != 0:
-                    pivot = i
-                    break
+        rows, scale, sign = [], 1, 1
+        for i in range(n):
+            ints, den = _integer_row(self.row(i))
+            rows.append(ints)
+            scale *= den
+        prev = 1
+        for k in range(n):
+            pivot = _lead([row[k] for row in rows[k:]], 0)
             if pivot is None:
                 return Fraction(0)
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
+            if pivot:
+                rows[k], rows[k + pivot] = rows[k + pivot], rows[k]
                 sign = -sign
-            lead = rows[col][col]
-            det *= lead
-            for i in range(col + 1, n):
-                if rows[i][col] != 0:
-                    c = rows[i][col] / lead
-                    rows[i] = [a - c * b for a, b in zip(rows[i], rows[col])]
-        return det * sign
+            top, lead = rows[k], rows[k][k]
+            for i in range(k + 1, n):
+                row, c = rows[i], rows[i][k]
+                rows[i] = [
+                    (lead * row[j] - c * top[j]) // prev if j > k else 0
+                    for j in range(n)
+                ]
+            prev = lead
+        return Fraction(sign * prev, scale)
 
     def inverse(self) -> "RationalMatrix":
         if self.rows != self.cols:
@@ -218,7 +308,7 @@ class RationalMatrix:
         return [[format_rational(x) for x in self.row(i)] for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """Subspace of Q^ambient_dim, held as its unique echelon basis.
 
@@ -230,10 +320,44 @@ class Subspace:
     ambient_dim: int
     rows: tuple[Vector, ...]
     pivots: tuple[int, ...]
+    # filled on first use; span fills _ints from its own elimination
+    _ints: Optional[tuple[tuple[int, ...], ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @property
+    def int_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each echelon row scaled to its primitive integer multiple.
+
+        A row with pivot entry 1 scaled by the lcm of its denominators is
+        already primitive.
+        """
+        ints = self._ints
+        if ints is None:
+            ints = tuple(tuple(_integer_row(row)[0]) for row in self.rows)
+            object.__setattr__(self, "_ints", ints)
+        return ints
+
+    # equal canonical rows and equal integer rows determine each other, so
+    # both compare the cheaper integers; the hash is computed once
+    def __eq__(self, other):
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return self is other or (
+            self.ambient_dim == other.ambient_dim and self.int_rows == other.int_rows
+        )
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.ambient_dim, self.int_rows))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def is_zero(self) -> bool:
@@ -251,26 +375,26 @@ class Subspace:
     def basis_rows(self) -> list[list[str]]:
         return [[format_rational(x) for x in row] for row in self.rows]
 
-    def reduce_vector(self, v: Sequence) -> Vector:
-        """Residual of v after eliminating this subspace's pivot coordinates."""
-        vec = list(_to_vector(v))
-        if len(vec) != self.ambient_dim:
-            raise DimensionMismatchError("vector length mismatch")
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return tuple(vec)
+    def _residual(self, v: Sequence[int]) -> Sequence[int]:
+        """A multiple of the integer row v with this subspace's pivot
+        coordinates eliminated; zero exactly when v lies in the subspace."""
+        for row, p in zip(self.int_rows, self.pivots):
+            if v[p]:
+                v = _cancel(v, row, p)
+        return v
 
     def contains_vector(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce_vector(v))
+        vec = _to_vector(v)
+        if len(vec) != self.ambient_dim:
+            raise DimensionMismatchError("vector length mismatch")
+        return not any(self._residual(_integer_row(vec)[0]))
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError("ambient mismatch")
         if other.dim > self.dim:
             return False
-        return all(self.contains_vector(row) for row in other.rows)
+        return not any(any(self._residual(row)) for row in other.int_rows)
 
     def coordinates_of(self, v: Sequence) -> Vector:
         """Coordinates of a member vector in the canonical basis.
@@ -294,14 +418,21 @@ def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
     """Subspace spanned by the given vectors (zero vectors allowed)."""
     rows = []
     for v in vectors:
-        vec = [x if isinstance(x, Fraction) else Fraction(x) for x in v]
+        vec = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
         if len(vec) != ambient_dim:
             raise DimensionMismatchError(
                 f"vector length {len(vec)} != ambient {ambient_dim}"
             )
         rows.append(vec)
-    reduced, pivots = _rref(rows)
-    return Subspace(ambient_dim, reduced, pivots)
+    return _span_ints(_primitive_rows(rows), ambient_dim)
+
+
+def _span_ints(rows: Iterable[Sequence[int]], ambient_dim: int) -> Subspace:
+    """Subspace spanned by primitive integer rows of the right width."""
+    ints, pivots = _reduced_ints(rows)
+    sub = Subspace(ambient_dim, _canonical_rows(ints, pivots), pivots)
+    object.__setattr__(sub, "_ints", ints)
+    return sub
 
 
 def zero_subspace(ambient_dim: int) -> Subspace:
@@ -331,16 +462,16 @@ def join(a: Subspace, b: Subspace) -> Subspace:
         return b
     if b.is_zero:
         return a
-    return span(list(a.rows) + list(b.rows), a.ambient_dim)
+    return _span_ints(a.int_rows + b.int_rows, a.ambient_dim)
 
 
 @lru_cache(maxsize=_CACHE)
 def meet(a: Subspace, b: Subspace) -> Subspace:
     """Intersection, by the double-block echelon trick.
 
-    Rows [u | u] for u spanning a and [v | 0] for v spanning b are reduced
-    together; rows whose left half has vanished carry a basis of the
-    intersection in their right half.
+    Rows [u | u] for u spanning a and [v | 0] for v spanning b are brought
+    to echelon form together; rows whose left half has vanished carry a
+    basis of the intersection in their right half.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("ambient mismatch")
@@ -351,13 +482,17 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
         return b
     if b.is_full:
         return a
-    zero = Fraction(0)
-    zeros = [zero] * amb
-    rows = [list(u) + list(u) for u in a.rows]
-    rows += [list(v) + zeros for v in b.rows]
-    reduced, _ = _rref(rows)
-    inter = [row[amb:] for row in reduced if all(x == 0 for x in row[:amb])]
-    return span(inter, amb)
+    zeros = (0,) * amb
+    rows = [u + u for u in a.int_rows] + [v + zeros for v in b.int_rows]
+    basis = _echelon(rows)
+    return _span_ints([row[amb:] for p, row in basis.items() if p >= amb], amb)
+
+
+def meet_dim(a: Subspace, b: Subspace) -> int:
+    """dim(a meet b) = dim a + dim b - dim(a + b), by forward elimination."""
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatchError("ambient mismatch")
+    return a.dim + b.dim - len(_echelon(a.int_rows + b.int_rows))
 
 
 def kernel(m: RationalMatrix) -> Subspace:
@@ -400,11 +535,9 @@ def quotient_image(k: Subspace, h: Subspace) -> Subspace:
     if k.ambient_dim != h.ambient_dim:
         raise DimensionMismatchError("ambient mismatch")
     chart = complement_chart(h).pivots
-    images = []
-    for v in k.rows:
-        w = h.reduce_vector(v)
-        images.append([w[j] for j in chart])
-    return span(images, len(chart))
+    # residuals vanish on h's pivots, so dropping them keeps rows primitive
+    images = [[w[j] for j in chart] for w in map(h._residual, k.int_rows)]
+    return _span_ints(images, len(chart))
 
 
 def lift_from_quotient(y: Sequence, h: Subspace) -> Vector:
@@ -426,8 +559,10 @@ def lift_from_quotient(y: Sequence, h: Subspace) -> Vector:
 
 def restrict_to(inner: Subspace, outer: Subspace) -> Subspace:
     """inner, a subspace of outer, written in outer's canonical coordinates."""
-    coords = [outer.coordinates_of(v) for v in inner.rows]
-    return span(coords, outer.dim)
+    if not outer.contains(inner):
+        raise ValueError("vector not in subspace")
+    coords = [[v[p] for p in outer.pivots] for v in inner.int_rows]
+    return _span_ints(_primitive_rows(coords), outer.dim)
 
 
 def lift_into(sub: Subspace, outer: Subspace) -> Subspace:

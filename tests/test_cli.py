@@ -324,7 +324,29 @@ class TestBalanceCommands:
         path = write(tmp_path, "bundle.json", data)
         code, out = run_cli(capsys, ["bundle-balance", path, "--no-timestamp"])
         assert code == 2
-        assert json.loads(out)["error"].startswith(field + ":")
+        assert json.loads(out)["error"].startswith(f"{path}: {field}:")
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("points[0].volume", {"points": [{"volume": 10**400, "frames": [[[1]]]}]}),
+            ("points[0].frames[0]", {"points": [{"volume": 1.0, "frames": [[[10**400]]]}]}),
+            ("points[0].frames[0]", {"points": [{"volume": 1.0, "frames": [[[[0, -(10**400)]]]]}]}),
+            ("weights[0]", {"weights": [10**400]}),
+        ],
+    )
+    def test_huge_integers_name_field(self, tmp_path, capsys, field, change):
+        data = {
+            "N": 1,
+            "weights": ["1"],
+            "ranks": [1],
+            "points": [{"volume": 1.0, "frames": [[[1]]]}],
+        }
+        data.update(change)
+        path = write(tmp_path, "bundle.json", data)
+        code, out = run_cli(capsys, ["bundle-balance", path, "--no-timestamp"])
+        assert code == 2
+        assert json.loads(out)["error"].startswith(f"{path}: {field}:")
 
 
 class TestCorrespondenceCommands:
@@ -429,13 +451,15 @@ class TestTensorCommand:
         [
             ("filtrations", {"n": 2, "filtrations": 5}),
             ("filtrations[0]", {"n": 2, "filtrations": [5]}),
+            ("n", {"n": 0, "filtrations": [[]]}),
+            ("missing field", {"filtrations": [[]]}),
         ],
     )
     def test_malformed_family_names_field(self, tmp_path, capsys, field, data):
         path = write(tmp_path, "bad.json", data)
         code, out = run_cli(capsys, ["tensor", path, path, "--no-timestamp"])
         assert code == 2
-        assert json.loads(out)["error"].startswith(field + ":")
+        assert json.loads(out)["error"].startswith(f"{path}: {field}:")
 
 
 class TestConeCommand:

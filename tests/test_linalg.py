@@ -9,6 +9,7 @@ from gitstab.linalg import (
     DimensionMismatchError,
     RationalMatrix,
     canonicalize,
+    complement_chart,
     full_subspace,
     join,
     kernel,
@@ -83,6 +84,130 @@ class TestRationalMatrix:
         b = RationalMatrix.identity(3)
         with pytest.raises(DimensionMismatchError):
             a @ b
+
+    def test_det_matches_cofactor_expansion(self):
+        rng = random.Random(29)
+        for trial in range(150):
+            n = 1 + trial % 5
+            rows = [
+                [F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 7])) for _ in range(n)]
+                for _ in range(n)
+            ]
+            if trial % 3 == 0 and n > 1:
+                # singular: one row a rational combination of two others
+                i, j, k = (rng.randrange(n) for _ in range(3))
+                a, b = F(rng.randint(-3, 3), 2), F(rng.randint(-3, 3), 5)
+                rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+                if i in (j, k):
+                    rows[i] = [F(0)] * n
+            m = RationalMatrix.from_rows(rows)
+            assert m.det() == _cofactor_det(rows)
+
+    def test_det_of_empty_and_zero_column(self):
+        assert RationalMatrix(0, 0, ()).det() == 1
+        m = RationalMatrix.from_rows([[F(0), F(1, 2)], [F(0), F(3)]])
+        assert m.det() == 0
+        swap = RationalMatrix.from_rows([[F(0), F(1, 2)], [F(1, 3), F(3)]])
+        assert swap.det() == F(-1, 6)
+
+
+def _cofactor_det(rows):
+    if not rows:
+        return F(1)
+    return sum(
+        (
+            (-1) ** j * rows[0][j] * _cofactor_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+            for j in range(len(rows))
+        ),
+        F(0),
+    )
+
+
+def _gauss_jordan(rows, width):
+    """Reference reduced row echelon form by Fraction Gauss-Jordan."""
+    rows = [[F(x) for x in row] for row in rows]
+    r = 0
+    for col in range(width):
+        found = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return tuple(tuple(row) for row in rows[:r])
+
+
+@st.composite
+def spanning_rows(draw):
+    """Rows of width 1-9 with fractional entries, zero and repeated rows."""
+    width = draw(st.integers(min_value=1, max_value=9))
+    entry = st.one_of(
+        st.just(F(0)),
+        st.fractions(min_value=-7, max_value=7, max_denominator=12),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=7))
+    pool = rows + [[F(0)] * width]
+    rows += draw(st.lists(st.sampled_from(pool), max_size=3))
+    return width, draw(st.permutations(rows))
+
+
+class TestIntegerKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(spanning_rows())
+    def test_span_matches_gauss_jordan(self, data):
+        width, rows = data
+        sub = span(rows, width)
+        expected = _gauss_jordan(rows, width)
+        assert sub.rows == expected
+        assert all(type(x) is Fraction for row in sub.rows for x in row)
+        assert sub.pivots == tuple(
+            next(j for j, x in enumerate(row) if x) for row in expected
+        )
+        assert sub.int_rows == span(sub.rows, width).int_rows
+        if rows:
+            assert RationalMatrix.from_rows(rows).rank() == len(expected)
+
+    def test_equal_spans_hash_equal(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            sub = rand_subspace(rng, n, rng.randint(0, n))
+            mixed = [[F(0)] * n]
+            for _ in range(sub.dim + 2):
+                coefs = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in sub.rows]
+                mixed.append([
+                    sum((c * row[i] for c, row in zip(coefs, sub.rows)), F(0))
+                    for i in range(n)
+                ])
+            other = span(mixed + [list(r) for r in sub.rows[::-1]], n)
+            assert other == sub
+            assert hash(other) == hash(sub)
+            assert len({sub, other}) == 1
+
+    def test_directly_built_subspaces_hash_like_spans(self):
+        rng = random.Random(19)
+        for n in range(1, 6):
+            assert hash(full_subspace(n)) == hash(canonicalize(rand_invertible(rng, n)))
+            h = rand_subspace(rng, n, rng.randint(0, n))
+            chart = complement_chart(h)
+            rebuilt = span([[x * 3 for x in row] for row in chart.rows], n)
+            assert chart == rebuilt and hash(chart) == hash(rebuilt)
+            assert chart.int_rows == rebuilt.int_rows
+
+    def test_meet_and_join_keep_cache_info(self):
+        a = span([[F(1), F(2), F(0)]], 3)
+        b = span([[F(0), F(1, 2), F(1)], [F(1), F(0), F(0)]], 3)
+        for op in (meet, join):
+            before = op.cache_info()
+            op(a, b)
+            op(a, b)
+            after = op.cache_info()
+            assert after.hits + after.misses == before.hits + before.misses + 2
+            assert after.hits >= before.hits + 1
 
 
 class TestSubspaceCanonicalForm:

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from gitstab.config import configuration, slope_at, slope_total
+from gitstab.config import (
+    configuration,
+    intersection_dims,
+    slope_at,
+    slope_total,
+    tensor_with_full_w,
+)
+from gitstab.corpus import all_cases
 from gitstab.linalg import (
     RationalMatrix,
     complement_chart,
@@ -11,6 +18,8 @@ from gitstab.linalg import (
     join,
     meet,
     span,
+    subspace_digest,
+    zero_subspace,
 )
 from gitstab.stability import (
     Confidence,
@@ -200,6 +209,67 @@ class TestCandidates:
         c = configuration(2, 1, [(line(2, 1, 0), 1)])
         with pytest.raises(ValueError):
             candidate_subspaces(c, extra=[line(3, 1, 0, 0)])
+
+
+class TestIntersectionDims:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_meet_with_tensor(self, d):
+        rng = random.Random(60 + d)
+        for _ in range(25):
+            n = rng.randint(2, 4)
+            items = [
+                (rand_subspace(rng, n * d, rng.randint(0, n * d)), F(1))
+                for _ in range(rng.randint(1, 4))
+            ]
+            c = configuration(n, d, items)
+            hs = [zero_subspace(n), full_subspace(n)]
+            hs += [rand_subspace(rng, n, rng.randint(1, n - 1)) for _ in range(3)]
+            for h in hs:
+                expected = tuple(
+                    meet(k, tensor_with_full_w(h, d)).dim for k, _ in c.items
+                )
+                assert intersection_dims(c, h) == expected
+
+
+# (case, digest of the candidate list in scan order, decide's
+# candidate_digest), at depth 3 with the case's extras
+CORPUS_CANDIDATE_DIGESTS = [
+    ("single-line", "e207aa41dc2e9b0854d7ea8bf878f7415764c1ed957115b254a7536e23b36d70", None),
+    ("repeated-line", "e207aa41dc2e9b0854d7ea8bf878f7415764c1ed957115b254a7536e23b36d70", None),
+    ("transverse-pair", "4f64d292bc1ec58b45edd01f165d3e93c1ade0a429804540d91f00b4e4b7ddb3", None),
+    ("generic-triple", "d4f73d201653060974a1b9d132e3049a589aaa532c1c53f4cd136164163b4ada",
+     "d4f73d201653060974a1b9d132e3049a589aaa532c1c53f4cd136164163b4ada"),
+    ("dominant-heavy-line", "d4f73d201653060974a1b9d132e3049a589aaa532c1c53f4cd136164163b4ada", None),
+    ("boundary-weights", "d4f73d201653060974a1b9d132e3049a589aaa532c1c53f4cd136164163b4ada", None),
+    ("full-space-item", "e207aa41dc2e9b0854d7ea8bf878f7415764c1ed957115b254a7536e23b36d70", None),
+    ("foth-three-planes", "11b5ad3989a3bfe5467dcdeeb2b65aa0598bdcc9c4b20a3c50000cdbaa56803d", None),
+    ("weighted-tower", "1aa65ab43cae606b63058033fac5a9534d7e875da3697bd2f70f282f6faf5de7", None),
+    ("split-weights-pair", "4f64d292bc1ec58b45edd01f165d3e93c1ade0a429804540d91f00b4e4b7ddb3", None),
+    ("coordinate-triple", "1aa65ab43cae606b63058033fac5a9534d7e875da3697bd2f70f282f6faf5de7", None),
+]
+
+
+class TestCandidateDigestsPinned:
+    def test_every_d1_corpus_case_is_pinned(self):
+        names = [case.name for case in all_cases() if case.config.d == 1]
+        assert names == [name for name, _, _ in CORPUS_CANDIDATE_DIGESTS]
+
+    @pytest.mark.parametrize("name, order, digest", CORPUS_CANDIDATE_DIGESTS)
+    def test_corpus_case(self, name, order, digest):
+        case = next(case for case in all_cases() if case.name == name)
+        cands = candidate_subspaces(case.config, 3, case.extra)
+        assert subspace_digest(cands) == order
+        assert decide(case.config, 3, extra=case.extra).candidate_digest == digest
+
+    def test_generic_lines_in_q3(self):
+        # 30 candidates with fractional coordinates, fully scanned
+        rng = random.Random(7)
+        c = configuration(3, 1, [(rand_subspace(rng, 3, 1), 1) for _ in range(5)])
+        v = decide(c, 2)
+        assert v.status == Status.STABLE
+        assert v.candidate_digest == (
+            "6d479d58c538a7cd2e6ed92e2aca2703072e837b52aa477b8848b4c56a0d99ff"
+        )
 
 
 class TestDecide:
