@@ -27,6 +27,7 @@ from .balance import (
 )
 from .cone import ConeSpec, conjecture_probe, hypersimplex_membership
 from .config import (
+    MAX_AMBIENT,
     ConfigSchemaError,
     WeightedConfiguration,
     _is_count,
@@ -153,6 +154,8 @@ def _mfiltration_from_dict(data: dict) -> MFiltration:
     n = data["n"]
     if not _is_count(n):
         raise InputError("n: must be a positive integer")
+    if n > MAX_AMBIENT:
+        raise InputError(f"n: must be at most {MAX_AMBIENT}")
     chains = []
     for s, raw_chain in enumerate(_list_field(data["filtrations"], "filtrations")):
         chain = []

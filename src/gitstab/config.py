@@ -11,13 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import (
     DimensionMismatchError,
     RationalMatrix,
     Subspace,
+    _integer_row,
     format_rational,
+    full_subspace,
+    kron,
     meet,
     meet_dim,
     parse_rational,
@@ -28,6 +32,9 @@ from .linalg import (
 )
 
 _CACHE = 1 << 16
+# largest ambient dimension a file may declare: the cost of a declared
+# dimension grows with its square even when no vector backs it
+MAX_AMBIENT = 1024
 
 
 class ConfigSchemaError(ValueError):
@@ -93,38 +100,15 @@ def configuration(
 
 @lru_cache(maxsize=_CACHE)
 def tensor_with_full_w(h: Subspace, d: int) -> Subspace:
-    """h tensor W inside Q^(ambient*d), built directly in echelon form.
-
-    If h has echelon rows u_j with pivots p_j, the vectors u_j tensor e_l
-    (ordered j-major) are already a reduced echelon basis with pivots
-    p_j*d + l, so no elimination is needed.
-    """
-    if d == 1:
-        return h
-    n = h.ambient_dim
-    zero = Fraction(0)
-    rows = []
-    pivots = []
-    for u, p in zip(h.rows, h.pivots):
-        for l in range(d):
-            row = [zero] * (n * d)
-            for i, x in enumerate(u):
-                if x:
-                    row[i * d + l] = x
-            rows.append(tuple(row))
-            pivots.append(p * d + l)
-    return Subspace(n * d, tuple(rows), tuple(pivots))
+    """h tensor W inside Q^(ambient*d), the Kronecker product with Q^d."""
+    return h if d == 1 else kron(h, full_subspace(d))
 
 
 def supp_v(k: Subspace, n: int, d: int) -> Subspace:
     """Smallest h with k contained in h tensor W (column span of reshapes)."""
     if k.ambient_dim != n * d:
         raise DimensionMismatchError("ambient mismatch")
-    cols = []
-    for v in k.rows:
-        for l in range(d):
-            cols.append([v[i * d + l] for i in range(n)])
-    return span(cols, n)
+    return span([v[l::d] for v in k.int_rows for l in range(d)], n)
 
 
 @lru_cache(maxsize=_CACHE)
@@ -219,20 +203,26 @@ def apply_gl(c: WeightedConfiguration, g: RationalMatrix) -> WeightedConfigurati
     if g.rank() != c.n:
         raise ValueError("g must be invertible")
     items = tuple(
-        (span(act_on_rows(g, sub.rows, c.d), c.n * c.d), w) for sub, w in c.items
+        (span(act_on_rows(g, sub.int_rows, c.d), c.n * c.d), w) for sub, w in c.items
     )
     return WeightedConfiguration(c.n, c.d, items)
 
 
 def act_on_rows(
-    g: RationalMatrix, rows: Sequence[Sequence[Fraction]], d: int
-) -> list[list[Fraction]]:
-    """g tensor identity applied to each V-major vector of Q^(n*d)."""
+    g: RationalMatrix, rows: Sequence[Sequence[int]], d: int
+) -> list[list[int]]:
+    """g tensor identity applied to each V-major integer vector of Q^(n*d).
+
+    g is first scaled to an integer matrix, so each result is a common
+    positive multiple of the true image and spans the same subspace.
+    """
+    flat, _ = _integer_row(g.entries)
     n = g.cols
+    gi = [flat[i * n : (i + 1) * n] for i in range(g.rows)]
     moved = []
     for v in rows:
-        cols = [g.mul_vector([v[i * d + l] for i in range(n)]) for l in range(d)]
-        moved.append([cols[l][i] for i in range(g.rows) for l in range(d)])
+        cols = [v[l::d] for l in range(d)]
+        moved.append([sum(map(mul, row, col)) for row in gi for col in cols])
     return moved
 
 
@@ -279,6 +269,8 @@ def config_from_dict(data: dict) -> WeightedConfiguration:
         raise ConfigSchemaError("n: must be a positive integer")
     if not _is_count(d):
         raise ConfigSchemaError("d: must be a positive integer")
+    if n * d > MAX_AMBIENT:
+        raise ConfigSchemaError(f"n*d: must be at most {MAX_AMBIENT}")
     raw_items = data["items"]
     if not isinstance(raw_items, list) or not raw_items:
         raise ConfigSchemaError("items: must be a non-empty list")

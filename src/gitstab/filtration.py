@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .config import (
+    MAX_AMBIENT,
     WeightedConfiguration,
     induced_quotient,
     induced_sub,
@@ -27,6 +28,7 @@ from .linalg import (
     complement_chart,
     full_subspace,
     join,
+    kron,
     lift_from_quotient,
     lift_into,
     meet,
@@ -342,23 +344,6 @@ def mfiltration_to_config(f: MFiltration) -> WeightedConfiguration:
     return WeightedConfiguration(f.n, 1, tuple(items))
 
 
-def _kron_subspace(a: Subspace, b: Subspace) -> Subspace:
-    q = b.ambient_dim
-    if a.is_zero or b.is_zero:
-        return zero_subspace(a.ambient_dim * q)
-    vectors = []
-    for u in a.rows:
-        for v in b.rows:
-            vec = [Fraction(0)] * (a.ambient_dim * q)
-            for i, ux in enumerate(u):
-                if ux:
-                    for jj, vx in enumerate(v):
-                        if vx:
-                            vec[i * q + jj] = ux * vx
-            vectors.append(vec)
-    return span(vectors, a.ambient_dim * q)
-
-
 def _unit_chain(n: int, chain, scale: int) -> list[Subspace]:
     """Full to zero, each step repeated (weight * scale) times."""
     out = [full_subspace(n)]
@@ -389,6 +374,8 @@ def tensor_filtrations(a: MFiltration, b: MFiltration) -> MFiltration:
     ]
     scale = math.lcm(*denoms) if denoms else 1
     big_n = a.n * b.n
+    if big_n > MAX_AMBIENT:
+        raise ValueError(f"n: the product dimension must be at most {MAX_AMBIENT}")
     out_chains = []
     for chain_a, chain_b in zip(a.filtrations, b.filtrations):
         ca = _unit_chain(a.n, chain_a, scale)
@@ -398,7 +385,7 @@ def tensor_filtrations(a: MFiltration, b: MFiltration) -> MFiltration:
         for l in range(1, p_max + q_max):
             acc = zero_subspace(big_n)
             for p in range(max(0, l - q_max), min(p_max, l) + 1):
-                acc = join(acc, _kron_subspace(ca[p], cb[l - p]))
+                acc = join(acc, kron(ca[p], cb[l - p]))
             levels.append(acc)
         steps: list[tuple[Subspace, Fraction]] = []
         for sub in levels:

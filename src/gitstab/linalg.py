@@ -7,10 +7,10 @@ hashable, which lets the lattice operations be memoized.
 
 Row reduction is fraction-free: each row is scaled once to a primitive
 integer row, eliminated with integer combinations and divided by its content
-after every step (Bareiss-style).  The canonical Fraction rows are built once,
-when a result becomes a ``Subspace``, which also keeps the integer rows for
-later meets, joins and dimension counts.  Nothing in this module touches
-floating point.
+after every step (Bareiss-style).  A ``Subspace`` stores only the integer
+form of its reduced echelon basis; the canonical Fraction rows are derived
+from it on first read and cached.  Nothing in this module touches floating
+point.
 """
 
 from __future__ import annotations
@@ -147,8 +147,6 @@ def _reduced_ints(
 
 
 _ZERO = Fraction(0)
-# canonical entries repeat across subspaces, so equal ones share one object
-_fraction = lru_cache(maxsize=1 << 12)(Fraction)
 
 
 def _canonical_rows(
@@ -156,7 +154,7 @@ def _canonical_rows(
 ) -> tuple[Vector, ...]:
     """The canonical Fraction RREF rows: each integer row over its pivot."""
     return tuple(
-        tuple(_fraction(x, row[p]) if x else _ZERO for x in row)
+        tuple(Fraction(x, row[p]) if x else _ZERO for x in row)
         for row, p in zip(ints, pivots)
     )
 
@@ -312,39 +310,37 @@ class RationalMatrix:
 class Subspace:
     """Subspace of Q^ambient_dim, held as its unique echelon basis.
 
-    ``rows`` are the reduced row echelon basis vectors; ``pivots`` the
-    corresponding pivot coordinates, strictly increasing.  Construct through
-    ``span``/``canonicalize``/``zero``/``full`` so the invariant holds.
+    ``int_rows`` are the reduced row echelon basis vectors, each scaled to
+    its primitive integer multiple with positive pivot entry; ``pivots``
+    the corresponding pivot coordinates, strictly increasing.  Construct
+    through ``span``/``canonicalize``/``zero``/``full``/``kron`` so the
+    invariant holds.
     """
 
     ambient_dim: int
-    rows: tuple[Vector, ...]
+    int_rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
-    # filled on first use; span fills _ints from its own elimination
-    _ints: Optional[tuple[tuple[int, ...], ...]] = field(
+    # both derived from the fields on first use
+    _rows: Optional[tuple[Vector, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[Vector, ...]:
+        """The canonical reduced row echelon basis, as Fraction rows."""
+        rows = self._rows
+        if rows is None:
+            rows = _canonical_rows(self.int_rows, self.pivots)
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     @property
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each echelon row scaled to its primitive integer multiple.
+    def dim(self) -> int:
+        return len(self.pivots)
 
-        A row with pivot entry 1 scaled by the lcm of its denominators is
-        already primitive.
-        """
-        ints = self._ints
-        if ints is None:
-            ints = tuple(tuple(_integer_row(row)[0]) for row in self.rows)
-            object.__setattr__(self, "_ints", ints)
-        return ints
-
-    # equal canonical rows and equal integer rows determine each other, so
-    # both compare the cheaper integers; the hash is computed once
+    # the integer rows determine the pivots, so they alone decide equality;
+    # the hash is computed once
     def __eq__(self, other):
         if other.__class__ is not Subspace:
             return NotImplemented
@@ -361,11 +357,11 @@ class Subspace:
 
     @property
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.pivots
 
     @property
     def is_full(self) -> bool:
-        return len(self.rows) == self.ambient_dim
+        return len(self.pivots) == self.ambient_dim
 
     @property
     def basis(self) -> RationalMatrix:
@@ -429,10 +425,13 @@ def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
 
 def _span_ints(rows: Iterable[Sequence[int]], ambient_dim: int) -> Subspace:
     """Subspace spanned by primitive integer rows of the right width."""
-    ints, pivots = _reduced_ints(rows)
-    sub = Subspace(ambient_dim, _canonical_rows(ints, pivots), pivots)
-    object.__setattr__(sub, "_ints", ints)
-    return sub
+    return Subspace(ambient_dim, *_reduced_ints(rows))
+
+
+def _coordinate_subspace(ambient_dim: int, coords: Sequence[int]) -> Subspace:
+    """Span of the unit vectors at increasing coordinates, already reduced."""
+    rows = tuple(tuple(int(t == j) for t in range(ambient_dim)) for j in coords)
+    return Subspace(ambient_dim, rows, tuple(coords))
 
 
 def zero_subspace(ambient_dim: int) -> Subspace:
@@ -440,12 +439,23 @@ def zero_subspace(ambient_dim: int) -> Subspace:
 
 
 def full_subspace(ambient_dim: int) -> Subspace:
-    zero, one = Fraction(0), Fraction(1)
+    return _coordinate_subspace(ambient_dim, range(ambient_dim))
+
+
+def kron(a: Subspace, b: Subspace) -> Subspace:
+    """The Kronecker product a tensor b inside Q^(p*q), coordinate i*q + j.
+
+    Products u tensor v of the reduced primitive rows, ordered a-major, are
+    already reduced and primitive (the content of an outer product is the
+    product of the contents) with positive pivots p*q + r, so no
+    elimination is needed.
+    """
+    q = b.ambient_dim
     rows = tuple(
-        tuple(one if i == j else zero for j in range(ambient_dim))
-        for i in range(ambient_dim)
+        tuple(x * y for x in u for y in v) for u in a.int_rows for v in b.int_rows
     )
-    return Subspace(ambient_dim, rows, tuple(range(ambient_dim)))
+    pivots = tuple(p * q + r for p in a.pivots for r in b.pivots)
+    return Subspace(a.ambient_dim * q, rows, pivots)
 
 
 def canonicalize(m: RationalMatrix) -> Subspace:
@@ -519,11 +529,7 @@ def complement_chart(h: Subspace) -> Subspace:
     """
     pivot_set = set(h.pivots)
     chart = [j for j in range(h.ambient_dim) if j not in pivot_set]
-    zero, one = Fraction(0), Fraction(1)
-    rows = tuple(
-        tuple(one if t == j else zero for t in range(h.ambient_dim)) for j in chart
-    )
-    return Subspace(h.ambient_dim, rows, tuple(chart))
+    return _coordinate_subspace(h.ambient_dim, chart)
 
 
 def quotient_image(k: Subspace, h: Subspace) -> Subspace:

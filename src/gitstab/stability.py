@@ -27,7 +27,7 @@ from .config import (
 from .linalg import (
     RationalMatrix,
     Subspace,
-    _rref,
+    _echelon,
     complement_chart,
     join,
     meet,
@@ -113,11 +113,10 @@ def mu_lambda_s(c: WeightedConfiguration, h: Subspace) -> Fraction:
 def _jump_positions(vectors: list, width: int) -> list[int]:
     """1-based positions where a subspace meets the coordinate flag deeper.
 
-    Elimination by trailing entries: reduce rows so their last nonzero
-    positions are distinct; those positions are the jumps.
+    Elimination of integer rows by trailing entries: reduce rows so their
+    last nonzero positions are distinct; those positions are the jumps.
     """
-    _, pivots = _rref([list(reversed(v)) for v in vectors])
-    return sorted(width - p for p in pivots)
+    return sorted(width - p for p in _echelon([v[::-1] for v in vectors]))
 
 
 def mu_general(c: WeightedConfiguration, lam: OnePS) -> Fraction:
@@ -131,7 +130,7 @@ def mu_general(c: WeightedConfiguration, lam: OnePS) -> Fraction:
     q_prime = [q for q in lam.q for _ in range(c.d)]
     total = Fraction(0)
     for sub, w in c.items:
-        jumps = _jump_positions(act_on_rows(inv, sub.rows, c.d), c.n * c.d)
+        jumps = _jump_positions(act_on_rows(inv, sub.int_rows, c.d), c.n * c.d)
         total += w * sum(q_prime[t - 1] for t in jumps)
     return total
 
@@ -307,13 +306,17 @@ def _corroborate(
     return verdict
 
 
+# a numeric basis snaps to a lattice candidate within this principal angle;
+# otherwise its entries are rounded to fractions with bounded denominators
+_SNAP_ANGLE = 1e-6
+_MAX_DENOMINATOR = 10**6
+
+
 def exactify_destabilizer(
     c: WeightedConfiguration,
     numeric_basis,
     depth: int = 3,
     extra: Sequence[Subspace] = (),
-    angle_tol: float = 1e-6,
-    max_denominator: int = 10**6,
 ) -> Optional[Subspace]:
     """Turn a numeric subspace basis into an exact one, or give up.
 
@@ -343,7 +346,7 @@ def exactify_destabilizer(
         qc, _ = np.linalg.qr(hb)
         sv = np.linalg.svd(qc.T @ qb, compute_uv=False)
         angle = float(np.arccos(min(1.0, float(sv.min()))))
-        if angle < angle_tol:
+        if angle < _SNAP_ANGLE:
             return h
     # continued-fraction fallback on the echelonized numeric basis
     work = arr.T.copy()
@@ -364,7 +367,7 @@ def exactify_destabilizer(
     vectors = []
     for i in range(r):
         vectors.append(
-            [Fraction(float(x)).limit_denominator(max_denominator) for x in work[i]]
+            [Fraction(float(x)).limit_denominator(_MAX_DENOMINATOR) for x in work[i]]
         )
     h = span(vectors, c.n)
     if 0 < h.dim < c.n:

@@ -148,6 +148,19 @@ class TestCheck:
         assert code == 2
         assert "items[0]" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 2, "d": 2000, "items": [{"weight": "1", "basis": []}]},
+            {"n": 10**6, "d": 1, "items": [{"weight": "1", "basis": []}]},
+        ],
+    )
+    def test_oversized_ambient_names_field(self, tmp_path, capsys, data):
+        path = write(tmp_path, "big.json", data)
+        code, out = run_cli(capsys, ["check", path, "--no-timestamp"])
+        assert code == 2
+        assert json.loads(out)["error"] == f"{path}: n*d: must be at most 1024"
+
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["check", stable_triple(tmp_path), "--bogus"])
@@ -453,6 +466,7 @@ class TestTensorCommand:
             ("filtrations[0]", {"n": 2, "filtrations": [5]}),
             ("n", {"n": 0, "filtrations": [[]]}),
             ("missing field", {"filtrations": [[]]}),
+            ("n", {"n": 2000, "filtrations": [[]]}),
         ],
     )
     def test_malformed_family_names_field(self, tmp_path, capsys, field, data):
@@ -460,6 +474,12 @@ class TestTensorCommand:
         code, out = run_cli(capsys, ["tensor", path, path, "--no-timestamp"])
         assert code == 2
         assert json.loads(out)["error"].startswith(f"{path}: {field}:")
+
+    def test_oversized_product_names_field(self, tmp_path, capsys):
+        path = write(tmp_path, "wide.json", {"n": 1000, "filtrations": [[]]})
+        code, out = run_cli(capsys, ["tensor", path, path, "--no-timestamp"])
+        assert code == 2
+        assert json.loads(out)["error"].startswith("n: ")
 
 
 class TestConeCommand:

@@ -21,9 +21,9 @@ from gitstab.config import (
     tensor_with_full_w,
     zero_item,
 )
-from gitstab.linalg import full_subspace, span
+from gitstab.linalg import RationalMatrix, full_subspace, span
 
-from util import rand_config, rand_invertible, rand_subspace
+from util import rand_config, rand_invertible, rand_subspace, transform_subspace
 
 
 def F(x, y=1):
@@ -191,6 +191,43 @@ class TestApplyGl:
         moved = apply_gl(c, g)
         assert [s.dim for s, _ in moved.items] == [s.dim for s, _ in c.items]
         assert slope_total(moved) == slope_total(c)
+
+    def test_fractional_g_matches_transform_subspace(self):
+        rng = random.Random(19)
+        for _ in range(10):
+            c = rand_config(rng, n_max=4, m_max=3)
+            g = RationalMatrix.from_rows(
+                [[F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(c.n)]
+                 for _ in range(c.n)]
+            )
+            if g.rank() != c.n:
+                continue
+            moved = apply_gl(c, g)
+            assert [s for s, _ in moved.items] == [
+                transform_subspace(g, s) for s, _ in c.items
+            ]
+            assert moved.weights() == c.weights()
+
+    def test_d2_matches_explicit_g_tensor_identity(self):
+        rng = random.Random(20)
+        n, d = 3, 2
+        g = RationalMatrix.from_rows(
+            [[F(1, 2), F(-1), F(0)], [F(2, 3), F(1), F(3)], [F(0), F(-1, 4), F(1)]]
+        )
+        # (g tensor I)[i*d + l, j*d + m] = g[i, j] when l == m
+        big = RationalMatrix.from_rows(
+            [
+                [g.entry(i, j) if l == m else F(0) for j in range(n) for m in range(d)]
+                for i in range(n)
+                for l in range(d)
+            ]
+        )
+        items = [(rand_subspace(rng, n * d, k), F(1)) for k in (1, 2, 3, 5)]
+        c = configuration(n, d, items)
+        moved = apply_gl(c, g)
+        assert [s for s, _ in moved.items] == [
+            transform_subspace(big, s) for s, _ in items
+        ]
 
     def test_identity_fixes(self):
         rng = random.Random(18)

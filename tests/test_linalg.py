@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gitstab.config import tensor_with_full_w
 from gitstab.linalg import (
     DimensionMismatchError,
     RationalMatrix,
@@ -13,6 +14,7 @@ from gitstab.linalg import (
     full_subspace,
     join,
     kernel,
+    kron,
     lift_from_quotient,
     meet,
     parse_rational,
@@ -193,10 +195,46 @@ class TestIntegerKernel:
         for n in range(1, 6):
             assert hash(full_subspace(n)) == hash(canonicalize(rand_invertible(rng, n)))
             h = rand_subspace(rng, n, rng.randint(0, n))
-            chart = complement_chart(h)
-            rebuilt = span([[x * 3 for x in row] for row in chart.rows], n)
-            assert chart == rebuilt and hash(chart) == hash(rebuilt)
-            assert chart.int_rows == rebuilt.int_rows
+            other = rand_subspace(rng, 3, rng.randint(0, 3))
+            for built in (
+                complement_chart(h),
+                full_subspace(n),
+                kron(h, other),
+                kron(other, complement_chart(h)),
+                tensor_with_full_w(h, 2),
+                tensor_with_full_w(h, 3),
+            ):
+                amb = built.ambient_dim
+                rebuilt = span([[x * 3 for x in row] for row in built.rows], amb)
+                assert built == rebuilt and hash(built) == hash(rebuilt)
+                assert built.int_rows == rebuilt.int_rows
+                assert built.pivots == rebuilt.pivots
+
+    def test_kron_matches_pairwise_products(self):
+        rng = random.Random(23)
+
+        def factor(n):
+            dim = rng.randint(0, n)
+            vectors = [
+                [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(dim)
+            ]
+            return vectors, span(vectors, n)
+
+        cases = [factor(rng.randint(1, 4)) for _ in range(30)]
+        cases += [([], zero_subspace(3)), ([[F(1), F(0)], [F(0), F(1)]], full_subspace(2))]
+        for _ in range(60):
+            (us, a), (vs, b) = rng.choice(cases), rng.choice(cases)
+            p, q = a.ambient_dim, b.ambient_dim
+            # every pairwise product of spanning vectors, coordinate i*q + j
+            products = [
+                [u[i] * v[j] for i in range(p) for j in range(q)] for u in us for v in vs
+            ]
+            product = kron(a, b)
+            assert product.ambient_dim == p * q
+            assert product.rows == _gauss_jordan(products, p * q)
+            assert product == span(products, p * q)
+            assert product.dim == a.dim * b.dim
 
     def test_meet_and_join_keep_cache_info(self):
         a = span([[F(1), F(2), F(0)]], 3)
