@@ -47,7 +47,7 @@ from .filtration import (
 )
 from .gm import PackedPointError, gale_transform, gm_forward, orbit_equivalent
 from .linalg import Subspace, format_rational, parse_rational
-from .stability import decide, exactify_destabilizer, mu_lambda_s
+from .stability import candidate_subspaces, decide, exactify_destabilizer, mu_lambda_s
 
 
 class InputError(Exception):
@@ -63,7 +63,7 @@ def _read_json(path: str):
     digest = hashlib.sha256(raw).hexdigest()
     try:
         return json.loads(raw.decode("utf-8")), digest
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also bad UTF-8, and integers past 4300 digits
         raise InputError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
 
 
@@ -321,8 +321,10 @@ def cmd_balance(args) -> int:
     c = run.load(args.config)
     r = balance_solve(c, tol=args.tol, max_iter=args.max_iter)
     certificates = []
-    for hint in r.destabilizer_hint or ():
-        h = exactify_destabilizer(c, hint, args.depth)
+    hints = r.destabilizer_hint or ()
+    cands = candidate_subspaces(c, args.depth) if hints else ()
+    for hint in hints:
+        h = exactify_destabilizer(c, hint, cands)
         if h is None:
             continue
         mu = mu_lambda_s(c, h)

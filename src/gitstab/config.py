@@ -111,16 +111,12 @@ def supp_v(k: Subspace, n: int, d: int) -> Subspace:
     return span([v[l::d] for v in k.int_rows for l in range(d)], n)
 
 
-@lru_cache(maxsize=_CACHE)
-def _meet_dim_with_tensor(k: Subspace, h: Subspace, d: int) -> int:
-    return meet_dim(tensor_with_full_w(h, d), k)
-
-
 def intersection_dims(c: WeightedConfiguration, h: Subspace) -> tuple[int, ...]:
     """dim(K_i meet (h tensor W)) for every item."""
     if h.ambient_dim != c.n:
         raise DimensionMismatchError("h must live in Q^n")
-    return tuple(_meet_dim_with_tensor(sub, h, c.d) for sub, _ in c.items)
+    hw = tensor_with_full_w(h, c.d)
+    return tuple(meet_dim(hw, sub) for sub, _ in c.items)
 
 
 def slope_total(c: WeightedConfiguration) -> Fraction:

@@ -18,6 +18,7 @@ from .filtration import hn_filtration, jh_filtration, polystable_split
 from .linalg import Subspace, full_subspace, span
 from .stability import (
     Status,
+    candidate_subspaces,
     decide,
     exactify_destabilizer,
     mu_lambda_s,
@@ -305,8 +306,10 @@ def check_case(
             )
         elif result.status == SolveStatus.DIVERGED:
             ok = False
-            for hint in result.destabilizer_hint or ():
-                h = exactify_destabilizer(c, hint, depth, case.extra)
+            hints = result.destabilizer_hint or ()
+            cands = candidate_subspaces(c, depth, case.extra) if hints else ()
+            for hint in hints:
+                h = exactify_destabilizer(c, hint, cands)
                 if h is not None and mu_lambda_s(c, h) > 0:
                     ok = True
                     break

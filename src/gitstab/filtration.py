@@ -229,10 +229,10 @@ def _split_summands(
         # The coordinate chart transverse to head is always a legitimate
         # complement even when the lattice closure never produced it.
         comps = list(cands) + [complement_chart(head)]
+        in_head = intersection_dims(c, head)
         for comp in comps:
             if comp.dim != want or meet(head, comp).dim != 0:
                 continue
-            in_head = intersection_dims(c, head)
             in_comp = intersection_dims(c, comp)
             if any(
                 a + b != sub.dim

@@ -13,13 +13,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, combinations, product
 from typing import Optional, Sequence
 
+import numpy as np
+
+from . import balance
 from .config import (
     WeightedConfiguration,
     act_on_rows,
     intersection_dims,
-    slope_at,
     slope_total,
     supp_v,
     tensor_with_full_w,
@@ -153,23 +156,24 @@ def lambda_for_subspace(h: Subspace) -> OnePS:
 
 
 def _closure_round(
-    current: set[Subspace], c: WeightedConfiguration
+    current: set[Subspace], new: set[Subspace], c: WeightedConfiguration
 ) -> set[Subspace]:
-    found: set[Subspace] = set(current)
-    items = [sub for sub, _ in c.items]
-    pool = sorted(current, key=lambda s: (s.dim, s.rows))
-    for i, a in enumerate(pool):
-        for b in pool[i + 1 :]:
-            for candidate in (meet(a, b), join(a, b)):
-                if 0 < candidate.dim < a.ambient_dim:
-                    found.add(candidate)
+    """What one round adds to current: meets and joins of the pairs with a
+    member in new (the last round's additions), and for d > 1 the supports
+    of new h.  Pairs of older candidates were taken a round earlier, so
+    their meets and joins are in current already."""
+    found: set[Subspace] = set()
+    for a, b in chain(combinations(new, 2), product(new, current - new)):
+        for candidate in (meet(a, b), join(a, b)):
+            if 0 < candidate.dim < a.ambient_dim:
+                found.add(candidate)
     if c.d > 1:
-        for k in items:
-            for h in pool:
+        for k, _ in c.items:
+            for h in new:
                 s = supp_v(meet(k, tensor_with_full_w(h, c.d)), c.n, c.d)
                 if 0 < s.dim < c.n:
                     found.add(s)
-    return found
+    return found - current
 
 
 def candidate_subspaces(
@@ -198,12 +202,12 @@ def candidate_subspaces(
             raise ValueError("extra candidate has wrong ambient dimension")
         if 0 < h.dim < n:
             base.add(h)
-    current = base
+    current, new = set(base), base
     for _ in range(depth):
-        grown = _closure_round(current, c)
-        if grown == current:
+        new = _closure_round(current, new, c)
+        if not new:
             break
-        current = grown
+        current |= new
     if not current and n >= 2:
         # every item is 0 or full, so any single proper h settles the verdict
         e1 = [Fraction(1)] + [Fraction(0)] * (n - 1)
@@ -232,7 +236,7 @@ def scan_margins(
                 confidence=Confidence.EXACT_COMPLETE,
                 certificate=h,
                 slope=total,
-                certificate_slope=slope_at(c, h),
+                certificate_slope=total + margin / (c.n * h.dim),
                 mu=margin,
                 depth=depth,
             ), equalities
@@ -271,20 +275,16 @@ def decide(
     numeric=True the balance solver corroborates the verdict; numeric
     evidence changes a status only after exact re-verification.
     """
-    verdict, _ = scan_margins(c, candidate_subspaces(c, depth, extra), depth)
+    cands = candidate_subspaces(c, depth, extra)
+    verdict, _ = scan_margins(c, cands, depth)
     if numeric:
-        verdict = _corroborate(c, verdict, depth, extra)
+        verdict = _corroborate(c, verdict, cands, depth)
     return verdict
 
 
 def _corroborate(
-    c: WeightedConfiguration,
-    verdict: Verdict,
-    depth: int,
-    extra: Sequence[Subspace],
+    c: WeightedConfiguration, verdict: Verdict, cands: Sequence[Subspace], depth: int
 ) -> Verdict:
-    from . import balance
-
     result = balance.balance_solve(c)
     if result.status == balance.SolveStatus.BALANCED:
         if verdict.is_semistable:
@@ -292,7 +292,7 @@ def _corroborate(
         return verdict
     if result.status == balance.SolveStatus.DIVERGED and result.destabilizer_hint:
         for basis in result.destabilizer_hint:
-            h = exactify_destabilizer(c, basis, depth, extra)
+            h = exactify_destabilizer(c, basis, cands)
             if h is None:
                 continue
             # an exact re-check of the hint alone: a violator proves
@@ -313,20 +313,16 @@ _MAX_DENOMINATOR = 10**6
 
 
 def exactify_destabilizer(
-    c: WeightedConfiguration,
-    numeric_basis,
-    depth: int = 3,
-    extra: Sequence[Subspace] = (),
+    c: WeightedConfiguration, numeric_basis, cands: Sequence[Subspace]
 ) -> Optional[Subspace]:
     """Turn a numeric subspace basis into an exact one, or give up.
 
-    First snaps to the candidate lattice by principal angle, then falls
-    back to continued-fraction rounding of the echelonized basis.  Returns
-    a proper nonzero Subspace or None; callers must re-verify the verdict
-    claim exactly themselves.
+    First snaps by principal angle to one of the given candidates (every
+    caller passes c's candidate lattice), then falls back to
+    continued-fraction rounding of the echelonized basis.  Returns a proper
+    nonzero Subspace or None; callers must re-verify the verdict claim
+    exactly themselves.
     """
-    import numpy as np
-
     arr = np.asarray(numeric_basis)
     if arr.ndim != 2 or arr.shape[0] != c.n:
         return None
@@ -339,7 +335,7 @@ def exactify_destabilizer(
     if j == 0 or j >= c.n:
         return None
     qb, _ = np.linalg.qr(arr)
-    for h in candidate_subspaces(c, depth, extra):
+    for h in cands:
         if h.dim != j:
             continue
         hb = np.array([[float(x) for x in row] for row in h.rows], dtype=float).T

@@ -152,7 +152,7 @@ def test_criterion_03_balance_matches_polystability():
             assert r.destabilizer_hint, f"{case.name}: no hints"
             ok = False
             for hint in r.destabilizer_hint:
-                h = exactify_destabilizer(c, hint)
+                h = exactify_destabilizer(c, hint, candidate_subspaces(c))
                 if h is not None and mu_lambda_s(c, h) > 0:
                     ok = True
                     break

@@ -20,7 +20,7 @@ from gitstab.balance import (
 )
 from gitstab.config import apply_gl, configuration
 from gitstab.linalg import RationalMatrix, span
-from gitstab.stability import exactify_destabilizer, mu_lambda_s
+from gitstab.stability import candidate_subspaces, exactify_destabilizer, mu_lambda_s
 
 from util import rand_config
 
@@ -223,7 +223,7 @@ class TestBalanceSolve:
         assert r.destabilizer_hint
         found = None
         for hint in r.destabilizer_hint:
-            h = exactify_destabilizer(c, hint)
+            h = exactify_destabilizer(c, hint, candidate_subspaces(c))
             if h is not None and mu_lambda_s(c, h) > 0:
                 found = h
                 break

@@ -138,6 +138,26 @@ class TestCheck:
         code, _ = run_cli(capsys, ["check", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, flag",
+        [
+            ('{"n": 2, "d": 1, "items": [{"weight": 1%s, "basis": [["1", "0"]]}]}', None),
+            ("[[[1%s, 0]]]", "--extra-h"),
+        ],
+        ids=["weight", "extra-h"],
+    )
+    def test_overlong_json_integer_names_file(self, tmp_path, capsys, text, flag):
+        # json.loads refuses integer literals longer than 4300 digits
+        path = tmp_path / "big.json"
+        path.write_text(text % ("0" * 4999))
+        if flag:
+            argv = ["check", stable_triple(tmp_path), flag, str(path)]
+        else:
+            argv = ["check", str(path)]
+        code, out = run_cli(capsys, argv + ["--no-timestamp"])
+        assert code == 2
+        assert json.loads(out)["error"].startswith(f"{path}: ")
+
     def test_schema_error_names_field(self, tmp_path, capsys):
         path = write(
             tmp_path,
@@ -217,6 +237,12 @@ def _parser_flags() -> dict:
 
 def test_readme_usage_matches_parser():
     assert _readme_usage() == _parser_flags()
+
+
+def test_readme_quick_session_runs():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README quick session", "exec"), {})
 
 
 class TestFiltrationCommands:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from gitstab.config import (
     intersection_dims,
     slope_at,
     slope_total,
+    supp_v,
     tensor_with_full_w,
 )
 from gitstab.corpus import all_cases
@@ -36,7 +38,7 @@ from gitstab.stability import (
     mu_lambda_s,
 )
 
-from util import rand_config, rand_invertible, rand_subspace
+from util import rand_config, rand_invertible, rand_subspace, rand_vector
 
 
 def F(x, y=1):
@@ -210,6 +212,53 @@ class TestCandidates:
         with pytest.raises(ValueError):
             candidate_subspaces(c, extra=[line(3, 1, 0, 0)])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_all_pairs_reference(self, d):
+        rng = random.Random(54 + d)
+        for trial in range(24):
+            n = rng.randint(3, 4)
+            # items built from a few shared vectors of V, so that meets,
+            # joins and supports keep adding candidates for several rounds
+            pool = [rand_vector(rng, n, -2, 2) for _ in range(n + 1)]
+            items = []
+            for _ in range(rng.randint(2, 5)):
+                rows = []
+                for _ in range(rng.randint(1, 3)):
+                    row = [F(0)] * (n * d)
+                    for _ in range(rng.randint(1, 2)):
+                        u, w = rng.choice(pool), rand_vector(rng, d, -2, 2)
+                        term = [a * b for a in u for b in w]
+                        row = [x + y for x, y in zip(row, term)]
+                    rows.append(row)
+                items.append((span(rows, n * d), F(rng.randint(1, 9))))
+            c = configuration(n, d, items)
+            extra = [rand_subspace(rng, n, rng.randint(1, n - 1))] if trial % 2 else []
+            depth = rng.randint(1, 3)
+            got = candidate_subspaces(c, depth, extra)
+            assert got == _all_pairs_candidates(c, depth, extra)
+
+
+def _all_pairs_candidates(c, depth, extra):
+    """Reference closure: every unordered pair of the whole pool, and for
+    d > 1 the item supports over the whole pool, in every round."""
+    n, d = c.n, c.d
+    current = {sub if d == 1 else supp_v(sub, n, d) for sub, _ in c.items}
+    current = {h for h in current | set(extra) if 0 < h.dim < n}
+    for _ in range(depth):
+        grown = set(current)
+        for a, b in itertools.combinations(current, 2):
+            grown |= {meet(a, b), join(a, b)}
+        if d > 1:
+            for k, _ in c.items:
+                grown |= {supp_v(meet(k, tensor_with_full_w(h, d)), n, d) for h in current}
+        grown = {h for h in grown if 0 < h.dim < n}
+        if grown == current:
+            break
+        current = grown
+    if not current:
+        current = {span([[F(1)] + [F(0)] * (n - 1)], n)}
+    return sorted(current, key=lambda s: (s.dim, s.rows))
+
 
 class TestIntersectionDims:
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -274,18 +323,22 @@ class TestCandidateDigestsPinned:
 
 class TestDecide:
     def test_unstable_certificate_is_violator(self):
+        names = ("tensor-rank-one", "tensor-plane-support")
+        unstable = [case.config for case in all_cases() if case.name in names]
+        assert len(unstable) == 2
         rng = random.Random(53)
-        seen = 0
-        while seen < 10:
+        while len(unstable) < 12:
             c = rand_config(rng)
+            if decide(c).status == Status.UNSTABLE:
+                unstable.append(c)
+        for c in unstable:
             v = decide(c)
-            if v.status != Status.UNSTABLE:
-                continue
-            seen += 1
+            assert v.status == Status.UNSTABLE
             assert v.confidence == Confidence.EXACT_COMPLETE
             assert mu_lambda_s(c, v.certificate) > 0
             assert slope_at(c, v.certificate) > slope_total(c)
             assert v.mu == mu_lambda_s(c, v.certificate)
+            assert v.certificate_slope == slope_at(c, v.certificate)
 
     def test_equality_certificate_exact(self):
         c = configuration(2, 1, [(line(2, 1, 0), 1), (line(2, 0, 1), 1)])
@@ -352,19 +405,19 @@ class TestExactify:
     def test_snaps_to_candidate(self):
         c = configuration(2, 1, [(line(2, 1, 0), 1), (line(2, 0, 1), 1)])
         approx = [[1.0 + 1e-9], [1e-9]]
-        h = exactify_destabilizer(c, approx)
+        h = exactify_destabilizer(c, approx, candidate_subspaces(c))
         assert h == line(2, 1, 0)
 
     def test_continued_fraction_fallback(self):
         c = configuration(2, 1, [(line(2, 1, 0), 1), (line(2, 0, 1), 1)])
         approx = [[1.0], [0.4999999999]]
-        h = exactify_destabilizer(c, approx)
+        h = exactify_destabilizer(c, approx, candidate_subspaces(c))
         assert h == span([[F(1), F(1, 2)]], 2)
 
     def test_rejects_complex_direction(self):
         c = configuration(2, 1, [(line(2, 1, 0), 1)])
         approx = [[1.0 + 0.5j], [0.0]]
-        assert exactify_destabilizer(c, approx) is None
+        assert exactify_destabilizer(c, approx, candidate_subspaces(c)) is None
 
 
 class TestDominantWeight:
