@@ -108,15 +108,33 @@ class BalanceResult:
     metric_agreement: Optional[float] = None
 
 
+class FloatRangeError(ValueError):
+    """An exact value of the configuration lies beyond the float range."""
+
+
+def _as_float(x, where: str) -> float:
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise FloatRangeError(f"{where}: too large for the float solver") from exc
+
+
 def config_bases(c: WeightedConfiguration) -> list[tuple[float, np.ndarray]]:
     """(weight, complex basis matrix) per nonzero item; columns are basis
-    vectors in Q^(n*d) cast to floats."""
+    vectors in Q^(n*d) cast to floats.  Raises FloatRangeError, naming the
+    item, when a weight or basis entry is too large for a float."""
     out = []
-    for sub, w in c.items:
+    for idx, (sub, w) in enumerate(c.items):
         if sub.is_zero:
             continue
-        b = np.array([[float(x) for x in row] for row in sub.rows], dtype=complex).T
-        out.append((float(w), b))
+        try:
+            rows = [[float(x) for x in row] for row in sub.rows]
+        except OverflowError as exc:
+            raise FloatRangeError(
+                f"items[{idx}].basis: an entry is too large for the float solver"
+            ) from exc
+        b = np.array(rows, dtype=complex).T
+        out.append((_as_float(w, f"items[{idx}].weight"), b))
     return out
 
 
@@ -161,7 +179,8 @@ def moment_map(c: WeightedConfiguration, metric: HermitianMetric) -> MomentValue
     multiple of the identity; for d > 1 projectors are partial-traced over
     the W factor down to V."""
     _, moved = _moved_config(c, metric)
-    return MomentValue(_phi_from_moved(moved, c.n, c.d, float(slope_total(c))))
+    wp = _as_float(slope_total(c), "slope")
+    return MomentValue(_phi_from_moved(moved, c.n, c.d, wp))
 
 
 def kempf_ness_value(c: WeightedConfiguration, metric: HermitianMetric) -> float:
@@ -172,7 +191,7 @@ def kempf_ness_value(c: WeightedConfiguration, metric: HermitianMetric) -> float
     identity along a Hermitian traceless a equals <Phi, a>.
     """
     g, moved = _moved_config(c, metric)
-    return _kn_of_moved(moved, _logdet_h(g), float(slope_total(c)))
+    return _kn_of_moved(moved, _logdet_h(g), _as_float(slope_total(c), "slope"))
 
 
 def extract_destabilizer(phi: MomentValue, gap_tol: float) -> list[np.ndarray]:
@@ -320,7 +339,7 @@ def balance_solve(
     if tol <= 0:
         raise ValueError("tol must be positive")
     bases = config_bases(c)
-    wp = float(slope_total(c))
+    wp = _as_float(slope_total(c), "slope")
     status, g, res, iters, kn, hints = _descend(
         bases, c.n, c.d, wp, tol, max_iter
     )

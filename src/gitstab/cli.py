@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .balance import (
+    FloatRangeError,
     SampledBundleConfig,
     balance_solve,
     bundle_balance_solve,
@@ -293,7 +294,10 @@ def cmd_check(args) -> int:
     run = _Runner(args, "check")
     c = run.load(args.config)
     extras = _load_extras(args.extra_h, c.n)
-    v = decide(c, args.depth, numeric=args.numeric, extra=extras)
+    try:
+        v = decide(c, args.depth, numeric=args.numeric, extra=extras)
+    except FloatRangeError as exc:
+        raise InputError(f"{args.config}: {exc}") from exc
     return run.emit(_verdict_dict(v), actual=v.status.value)
 
 
@@ -319,7 +323,10 @@ def cmd_jh(args) -> int:
 def cmd_balance(args) -> int:
     run = _Runner(args, "balance")
     c = run.load(args.config)
-    r = balance_solve(c, tol=args.tol, max_iter=args.max_iter)
+    try:
+        r = balance_solve(c, tol=args.tol, max_iter=args.max_iter)
+    except FloatRangeError as exc:
+        raise InputError(f"{args.config}: {exc}") from exc
     certificates = []
     hints = r.destabilizer_hint or ()
     cands = candidate_subspaces(c, args.depth) if hints else ()

@@ -8,7 +8,7 @@ means every column of X lies in h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -43,11 +43,19 @@ class ConfigSchemaError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedConfiguration:
-    """Items (K_i, w_i) with K_i a subspace of Q^(n*d) and w_i > 0."""
+    """Items (K_i, w_i) with K_i a subspace of Q^(n*d) and w_i > 0.
+
+    ``integer_weights`` is derived once: (W, D, T) with W_i = D * w_i
+    integers for D the lcm of the weights' denominators, and T the integer
+    sum(W_i dim K_i).  It takes no part in equality, hashing or repr.
+    """
 
     n: int
     d: int
     items: tuple[tuple[Subspace, Fraction], ...]
+    integer_weights: tuple[tuple[int, ...], int, int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.n < 1:
@@ -63,6 +71,9 @@ class WeightedConfiguration:
                 )
             if w <= 0:
                 raise ConfigSchemaError(f"items[{idx}].weight: must be positive")
+        ints, den = _integer_row([w for _, w in self.items])
+        total = sum(w * sub.dim for (sub, _), w in zip(self.items, ints))
+        object.__setattr__(self, "integer_weights", (tuple(ints), den, total))
 
     @property
     def m(self) -> int:
@@ -121,16 +132,16 @@ def intersection_dims(c: WeightedConfiguration, h: Subspace) -> tuple[int, ...]:
 
 def slope_total(c: WeightedConfiguration) -> Fraction:
     """Weighted average dimension per ambient dimension: sum(w_i dim K_i)/n."""
-    return sum((w * sub.dim for sub, w in c.items), Fraction(0)) / c.n
+    _, den, total = c.integer_weights
+    return Fraction(total, den * c.n)
 
 
 def slope_at(c: WeightedConfiguration, h: Subspace) -> Fraction:
     """Same functional for the configuration cut down to h (h nonzero)."""
     if h.is_zero:
         raise ValueError("slope_at undefined at the zero subspace")
-    dims = intersection_dims(c, h)
-    num = sum((w * dim for (_, w), dim in zip(c.items, dims)), Fraction(0))
-    return num / h.dim
+    ints, den, _ = c.integer_weights
+    return Fraction(sum(map(mul, ints, intersection_dims(c, h))), den * h.dim)
 
 
 def induced_sub(c: WeightedConfiguration, h: Subspace) -> WeightedConfiguration:

@@ -14,6 +14,8 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations, product
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -104,13 +106,15 @@ def mu_lambda_s(c: WeightedConfiguration, h: Subspace) -> Fraction:
 
     Positive exactly when h violates the stability inequality; the identity
     n * dim h * (slope_at - slope_total) = mu holds over the rationals.
+    Computed in integers over c's integer weights W_i = D * w_i and their
+    total T = sum(W_i dim K_i): mu = (n * sum(W_i dim_i) - dim h * T) / D,
+    one Fraction per call.
     """
     if h.is_zero or h.dim >= c.n:
         raise ValueError("h must be a proper nonzero subspace of V")
-    dims = intersection_dims(c, h)
-    inner = sum((w * dim for (_, w), dim in zip(c.items, dims)), Fraction(0))
-    total = sum((w * sub.dim for sub, w in c.items), Fraction(0))
-    return c.n * inner - h.dim * total
+    ints, den, total = c.integer_weights
+    inner = sum(map(mul, ints, intersection_dims(c, h)))
+    return Fraction(c.n * inner - h.dim * total, den)
 
 
 def _jump_positions(vectors: list, width: int) -> list[int]:
@@ -161,12 +165,20 @@ def _closure_round(
     """What one round adds to current: meets and joins of the pairs with a
     member in new (the last round's additions), and for d > 1 the supports
     of new h.  Pairs of older candidates were taken a round earlier, so
-    their meets and joins are in current already."""
+    their meets and joins are in current already.
+
+    The join comes first and fixes dm = dim a + dim b - dim(a + b), the
+    dimension of the meet.  When dm is 0, dim a or dim b, the meet is 0, a
+    or b, none of which is new, so the meet is eliminated only for the
+    other pairs."""
     found: set[Subspace] = set()
     for a, b in chain(combinations(new, 2), product(new, current - new)):
-        for candidate in (meet(a, b), join(a, b)):
-            if 0 < candidate.dim < a.ambient_dim:
-                found.add(candidate)
+        j = join(a, b)
+        if j.dim < a.ambient_dim:
+            found.add(j)
+        dm = a.dim + b.dim - j.dim
+        if dm and dm != a.dim and dm != b.dim:
+            found.add(meet(a, b))
     if c.d > 1:
         for k, _ in c.items:
             for h in new:
@@ -212,7 +224,19 @@ def candidate_subspaces(
         # every item is 0 or full, so any single proper h settles the verdict
         e1 = [Fraction(1)] + [Fraction(0)] * (n - 1)
         current = {span([e1], n)}
-    return sorted(current, key=lambda s: (s.dim, s.rows))
+    # each canonical row is its integer row over the pivot entry, so scaling
+    # every row to M times the canonical one, for M a common multiple of all
+    # pivot entries, sorts in (dim, rows) order without building Fractions
+    m = lcm(*(row[p] for s in current for row, p in zip(s.int_rows, s.pivots)))
+
+    def key(s: Subspace):
+        scaled = []
+        for row, p in zip(s.int_rows, s.pivots):
+            k = m // row[p]
+            scaled.append(tuple(x * k for x in row))
+        return s.dim, tuple(scaled)
+
+    return sorted(current, key=key)
 
 
 def scan_margins(
@@ -338,7 +362,10 @@ def exactify_destabilizer(
     for h in cands:
         if h.dim != j:
             continue
-        hb = np.array([[float(x) for x in row] for row in h.rows], dtype=float).T
+        try:
+            hb = np.array([[float(x) for x in row] for row in h.rows], dtype=float).T
+        except OverflowError:
+            continue  # beyond the float range, so no angle to compare
         qc, _ = np.linalg.qr(hb)
         sv = np.linalg.svd(qc.T @ qb, compute_uv=False)
         angle = float(np.arccos(min(1.0, float(sv.min()))))

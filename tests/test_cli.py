@@ -72,6 +72,22 @@ def fixed_plane_extras(tmp_path):
     )
 
 
+def beyond_float(tmp_path, field):
+    """The stable triple with one weight or basis entry of 401 digits, past
+    the float range but exact-valid."""
+    big = "1" + "0" * 400
+    items = [
+        {"weight": "1", "basis": [["1", "0"]]},
+        {"weight": "1", "basis": [["0", "1"]]},
+        {"weight": "1", "basis": [["1", "1"]]},
+    ]
+    if field == "weight":
+        items[0]["weight"] = big
+    else:
+        items[2]["basis"] = [["1", big]]
+    return write(tmp_path, "huge.json", {"n": 2, "d": 1, "items": items})
+
+
 class TestCheck:
     def test_stable_verdict(self, tmp_path, capsys):
         code, out = run_cli(
@@ -157,6 +173,20 @@ class TestCheck:
         code, out = run_cli(capsys, argv + ["--no-timestamp"])
         assert code == 2
         assert json.loads(out)["error"].startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("field, item", [("weight", 0), ("basis", 2)])
+    @pytest.mark.parametrize(
+        "numeric", [["check", "--numeric"], ["balance"]], ids=["check", "balance"]
+    )
+    def test_float_overflow_names_file(self, tmp_path, capsys, field, item, numeric):
+        path = beyond_float(tmp_path, field)
+        for argv in (["check", path], ["hn", path]):
+            code, _ = run_cli(capsys, argv + ["--no-timestamp"])
+            assert code == 0
+        code, out = run_cli(capsys, numeric + [path, "--no-timestamp"])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error.startswith(f"{path}: items[{item}].{field}: ")
 
     def test_schema_error_names_field(self, tmp_path, capsys):
         path = write(

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from gitstab.config import (
     supp_v,
     tensor_with_full_w,
 )
+from gitstab import stability
 from gitstab.corpus import all_cases
 from gitstab.linalg import (
     RationalMatrix,
@@ -414,6 +416,25 @@ class TestExactify:
         h = exactify_destabilizer(c, approx, candidate_subspaces(c))
         assert h == span([[F(1), F(1, 2)]], 2)
 
+    def test_skips_candidates_beyond_float_range(self):
+        # items fit in floats, but their join's echelon rows reach 10^400
+        big = F(10**200)
+        c = configuration(
+            3,
+            1,
+            [
+                (span([[F(1), 1 / big, F(0)]], 3), 5),
+                (span([[F(1), F(0), big]], 3), 5),
+                (line(3, 0, 1, 1), 1),
+            ],
+        )
+        cands = candidate_subspaces(c)
+        assert any(h.dim == 2 and max(map(abs, h.rows[1])) > 10**308 for h in cands)
+        approx = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+        assert exactify_destabilizer(c, approx, cands) == span(
+            [[F(1), F(0), F(0)], [F(0), F(1), F(0)]], 3
+        )
+
     def test_rejects_complex_direction(self):
         c = configuration(2, 1, [(line(2, 1, 0), 1)])
         approx = [[1.0 + 0.5j], [0.0]]
@@ -477,3 +498,154 @@ class TestDominantWeight:
             if rep.singleton_verdict.status == Status.UNSTABLE:
                 assert rep.config_verdict.status == Status.UNSTABLE
                 assert rep.consistent
+
+
+def _pooled_config(rng, d, weights, entry):
+    """Items built from a few shared vectors of V, so that the lattice grows
+    for several rounds; entry(rng) draws one coordinate of those vectors."""
+    n = rng.randint(3, 4)
+    pool = [[entry(rng) for _ in range(n)] for _ in range(n + 1)]
+    items = []
+    for _ in range(rng.randint(2, 5)):
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            row = [F(0)] * (n * d)
+            for _ in range(rng.randint(1, 2)):
+                u, w = rng.choice(pool), rand_vector(rng, d, -2, 2)
+                row = [x + a * b for x, (a, b) in zip(row, itertools.product(u, w))]
+            rows.append(row)
+        items.append((span(rows, n * d), rng.choice(weights)))
+    return configuration(n, d, items)
+
+
+def _small_entry(rng):
+    return F(rng.randint(-2, 2))
+
+
+def _fraction_weighted_dims(c, h=None):
+    """sum(w_i dim K_i), or with h sum(w_i dim(K_i meet h tensor W)), in
+    Fractions on intersection_dims."""
+    dims = [sub.dim for sub, _ in c.items] if h is None else intersection_dims(c, h)
+    return sum((w * k for (_, w), k in zip(c.items, dims)), Fraction(0))
+
+
+def _fraction_mu(c, h):
+    """mu_lambda_s by the Fraction formula."""
+    return c.n * _fraction_weighted_dims(c, h) - h.dim * _fraction_weighted_dims(c)
+
+
+COPRIME_WEIGHTS = (F(1, 3), F(2, 7), F(5, 11), F(13, 4))
+
+
+def _generic_config(rng, d):
+    """n + 1 or n + 2 random items, or two complementary halves of equal
+    weight, with weights of coprime denominators."""
+    n = rng.randint(2, 4)
+    amb = n * d
+    if rng.random() < 0.25:
+        units = [[F(int(i == j)) for i in range(amb)] for j in range(amb)]
+        w, k = rng.choice(COPRIME_WEIGHTS), amb // 2
+        halves = [(span(units[:k], amb), w), (span(units[k:], amb), w)]
+        return configuration(n, d, halves)
+    items = []
+    for _ in range(rng.randint(n + 1, n + 2)):
+        sub = rand_subspace(rng, amb, rng.randint(1, amb - 1))
+        items.append((sub, rng.choice(COPRIME_WEIGHTS[:3])))
+    return configuration(n, d, items)
+
+
+class TestIntegerMargins:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_match_fraction_reference(self, d):
+        rng = random.Random(70 + d)
+        statuses = set()
+        for trial in range(24):
+            if trial % 2:
+                c = _pooled_config(rng, d, COPRIME_WEIGHTS, _small_entry)
+            else:
+                c = _generic_config(rng, d)
+            cands = candidate_subspaces(c, 2)
+            mus = [_fraction_mu(c, h) for h in cands]
+            assert [mu_lambda_s(c, h) for h in cands] == mus
+            v = decide(c, 2)
+            statuses.add(v.status)
+            total = _fraction_weighted_dims(c) / c.n
+            assert v.slope == total
+            if any(mu > 0 for mu in mus):
+                i = next(i for i, mu in enumerate(mus) if mu > 0)
+                h = cands[i]
+                assert v.status == Status.UNSTABLE
+                assert (v.certificate, v.mu) == (h, mus[i])
+                assert v.certificate_slope == total + mus[i] / (c.n * h.dim)
+                assert v.certificate_slope == _fraction_weighted_dims(c, h) / h.dim
+            elif 0 in mus:
+                assert v.status == Status.STRICTLY_SEMISTABLE
+                assert (v.certificate, v.mu) == (cands[mus.index(0)], 0)
+                assert v.certificate_slope == total
+            else:
+                assert v.status == Status.STABLE
+                assert (v.certificate, v.mu, v.certificate_slope) == (None,) * 3
+        assert len(statuses) == 3
+
+    def test_derived_weights_ignored_by_eq_hash_repr(self):
+        rng = random.Random(73)
+        c = _pooled_config(rng, 1, COPRIME_WEIGHTS, _small_entry)
+        c2 = configuration(c.n, c.d, c.items)
+        ints, den, total = c.integer_weights
+        assert Fraction(total, den) == _fraction_weighted_dims(c)
+        assert [F(k, den) for k in ints] == c.weights()
+        object.__setattr__(c2, "integer_weights", ((0,) * c.m, 1, 0))
+        assert c == c2 and hash(c) == hash(c2) and repr(c) == repr(c2)
+        assert "integer_weights" not in repr(c)
+
+
+def _fractional_entry(rng):
+    return F(rng.randint(-9, 9), rng.randint(1, 997))
+
+
+class TestCandidateOrder:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_large_pivot_entries(self, d):
+        rng = random.Random(80 + d)
+        widest = 0
+        for trial in range(12):
+            c = _pooled_config(rng, d, (F(1),), _fractional_entry)
+            cands = candidate_subspaces(c, 1 + trial % 3)
+            assert cands == sorted(set(cands), key=lambda s: (s.dim, s.rows))
+            pivots = [row[p] for s in cands for row, p in zip(s.int_rows, s.pivots)]
+            widest = max(widest, math.lcm(*pivots))
+        assert widest >= 2**64
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sorting_builds_no_fraction_rows(self, d):
+        meet.cache_clear()
+        join.cache_clear()
+        c = _pooled_config(random.Random(90 + d), d, (F(1),), _fractional_entry)
+        cands = candidate_subspaces(c, 3)
+        assert len(cands) > 1
+        assert all(s._rows is None for s in cands)
+
+
+class TestClosureMeets:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_meet_only_when_not_inferred(self, d, monkeypatch):
+        calls = []
+
+        def recording_meet(a, b):
+            x = meet(a, b)
+            calls.append((a, b, x))
+            return x
+
+        monkeypatch.setattr(stability, "meet", recording_meet)
+        rng = random.Random(100 + d)
+        pair_meets = 0
+        for _ in range(16):
+            c = _pooled_config(rng, d, (F(1),), _small_entry)
+            calls.clear()
+            candidate_subspaces(c, rng.randint(1, 3))
+            # pairs of candidates live in V, the d > 1 support meets in V tensor W
+            for a, b, x in calls:
+                if a.ambient_dim == c.n:
+                    pair_meets += 1
+                    assert 0 < x.dim < min(a.dim, b.dim)
+        assert pair_meets
