@@ -8,9 +8,9 @@ hashable, which lets the lattice operations be memoized.
 Row reduction is fraction-free: each row is scaled once to a primitive
 integer row, eliminated with integer combinations and divided by its content
 after every step (Bareiss-style).  A ``Subspace`` stores only the integer
-form of its reduced echelon basis; the canonical Fraction rows are derived
-from it on first read and cached.  Nothing in this module touches floating
-point.
+form of its reduced echelon basis; the canonical Fraction rows, and an
+integer annihilator whose common kernel is the subspace, are read off it on
+first use and cached.  Nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -51,6 +52,12 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _format_ratio(x: int, q: int) -> str:
+    """format_rational(Fraction(x, q)) for q > 0, without the Fraction."""
+    g = gcd(x, q)
+    return str(x // g) if g == q else f"{x // g}/{q // g}"
 
 
 def _to_vector(row: Sequence) -> Vector:
@@ -157,6 +164,34 @@ def _canonical_rows(
         tuple(Fraction(x, row[p]) if x else _ZERO for x in row)
         for row, p in zip(ints, pivots)
     )
+
+
+def _annihilator(
+    ambient_dim: int, ints: Sequence[Sequence[int]], pivots: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Integer rows spanning the vectors orthogonal to the echelon rows.
+
+    One row y per non-pivot column j: M at j and -(M / r[p]) * r[j] at the
+    pivot p of each echelon row r, for M the lcm of the pivot entries.  An
+    echelon row r is zero at the other rows' pivots, so r . y = M r[j] -
+    r[p] (M / r[p]) r[j] = 0.  The j entries make the rows independent, and
+    there are ambient_dim - dim of them, so their common kernel is exactly
+    the span of the echelon rows.  No elimination is needed.
+    """
+    m = lcm(*(row[p] for row, p in zip(ints, pivots)))
+    scaled = [(p, m // row[p], row) for row, p in zip(ints, pivots)]
+    pivot_set = set(pivots)
+    out = []
+    for j in range(ambient_dim):
+        if j in pivot_set:
+            continue
+        y = [0] * ambient_dim
+        y[j] = m
+        for p, k, row in scaled:
+            if row[j]:
+                y[p] = -k * row[j]
+        out.append(tuple(y))
+    return tuple(out)
 
 
 def _rref(rows: Iterable[Sequence]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
@@ -320,8 +355,11 @@ class Subspace:
     ambient_dim: int
     int_rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
-    # both derived from the fields on first use
+    # all three derived from the fields on first use
     _rows: Optional[tuple[Vector, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _ann: Optional[tuple[tuple[int, ...], ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
@@ -334,6 +372,16 @@ class Subspace:
             rows = _canonical_rows(self.int_rows, self.pivots)
             object.__setattr__(self, "_rows", rows)
         return rows
+
+    @property
+    def annihilator(self) -> tuple[tuple[int, ...], ...]:
+        """Integer rows whose common kernel is this subspace, one per
+        non-pivot column, read off the echelon rows (see _annihilator)."""
+        ann = self._ann
+        if ann is None:
+            ann = _annihilator(self.ambient_dim, self.int_rows, self.pivots)
+            object.__setattr__(self, "_ann", ann)
+        return ann
 
     @property
     def dim(self) -> int:
@@ -498,11 +546,26 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     return _span_ints([row[amb:] for p, row in basis.items() if p >= amb], amb)
 
 
-def meet_dim(a: Subspace, b: Subspace) -> int:
-    """dim(a meet b) = dim a + dim b - dim(a + b), by forward elimination."""
+def excess_rank(a: Subspace, b: Subspace) -> int:
+    """dim(a + b) - dim b: how much a adds to b.
+
+    The rank of the dim a x codim b matrix of dot products of a's echelon
+    rows with b's annihilator rows, which maps a onto its image in V / b.
+    b's annihilator is cached on b, so ranking many a against one b
+    eliminates only these small matrices.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("ambient mismatch")
-    return a.dim + b.dim - len(_echelon(a.int_rows + b.int_rows))
+    ann = b.annihilator
+    if not ann or not a.int_rows:
+        return 0
+    return len(_echelon([[sum(map(mul, u, y)) for y in ann] for u in a.int_rows]))
+
+
+def meet_dim(a: Subspace, b: Subspace) -> int:
+    """dim(a meet b) = dim a - excess_rank(a, b), a rank against b's
+    cached annihilator."""
+    return a.dim - excess_rank(a, b)
 
 
 def kernel(m: RationalMatrix) -> Subspace:
@@ -590,8 +653,8 @@ def subspace_digest(subspaces: Iterable[Subspace]) -> str:
     h = hashlib.sha256()
     for s in subspaces:
         h.update(f"{s.ambient_dim}:".encode())
-        for row in s.rows:
-            h.update(";".join(format_rational(x) for x in row).encode())
+        for row, p in zip(s.int_rows, s.pivots):
+            h.update(";".join(_format_ratio(x, row[p]) for x in row).encode())
             h.update(b"|")
         h.update(b"#")
     return h.hexdigest()

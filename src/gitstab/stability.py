@@ -34,6 +34,7 @@ from .linalg import (
     Subspace,
     _echelon,
     complement_chart,
+    excess_rank,
     join,
     meet,
     span,
@@ -167,17 +168,23 @@ def _closure_round(
     of new h.  Pairs of older candidates were taken a round earlier, so
     their meets and joins are in current already.
 
-    The join comes first and fixes dm = dim a + dim b - dim(a + b), the
-    dimension of the meet.  When dm is 0, dim a or dim b, the meet is 0, a
-    or b, none of which is new, so the meet is eliminated only for the
-    other pairs."""
+    Each pair is ordered so that dim a >= dim b, and r = dim(a + b) - dim a
+    is ranked against a's cached annihilator (excess_rank) before anything
+    is eliminated.  The join has dimension dim a + r and the meet dim b - r.
+    r = 0 means b lies in a, so the join is a and the meet b, neither new.
+    Otherwise the join is eliminated only when it is proper, and the meet
+    only when 0 < r < dim b, since r = dim b makes it 0."""
     found: set[Subspace] = set()
+    n = c.n
     for a, b in chain(combinations(new, 2), product(new, current - new)):
-        j = join(a, b)
-        if j.dim < a.ambient_dim:
-            found.add(j)
-        dm = a.dim + b.dim - j.dim
-        if dm and dm != a.dim and dm != b.dim:
+        if a.dim < b.dim:
+            a, b = b, a
+        r = excess_rank(b, a)
+        if not r:
+            continue
+        if a.dim + r < n:
+            found.add(join(a, b))
+        if r < b.dim:
             found.add(meet(a, b))
     if c.d > 1:
         for k, _ in c.items:

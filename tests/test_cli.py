@@ -1,11 +1,17 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gitstab
 from gitstab.cli import build_parser, main
+from gitstab.config import config_to_dict
+from gitstab.corpus import all_cases
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -598,3 +604,24 @@ class TestCorpusCommand:
         result = json.loads(out)["result"]
         assert result["passed"] == result["total"]
         assert result["failed"] == []
+
+
+class TestModuleEntryPoint:
+    def test_python_m_gitstab_check(self, tmp_path):
+        case = all_cases()[0]
+        path = write(tmp_path, "case.json", config_to_dict(case.config))
+        src = str(Path(gitstab.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "gitstab", "check", path, "--no-timestamp"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)["result"]
+        assert result["status"] == case.expected.status.value

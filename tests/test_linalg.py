@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,14 +11,17 @@ from gitstab.config import tensor_with_full_w
 from gitstab.linalg import (
     DimensionMismatchError,
     RationalMatrix,
+    _format_ratio,
     canonicalize,
     complement_chart,
+    excess_rank,
     full_subspace,
     join,
     kernel,
     kron,
     lift_from_quotient,
     meet,
+    meet_dim,
     parse_rational,
     quotient_image,
     span,
@@ -385,3 +390,117 @@ class TestCanonicalize:
         sub = canonicalize(m)
         assert sub.dim == 1
         assert sub.contains_vector((F(1), F(0), F(1)))
+
+
+def _fraction_text(x: Fraction) -> str:
+    """Reference formatter: the Fraction's own lowest terms."""
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _fraction_rank(rows) -> int:
+    """Reference rank by Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col] / m[rank][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _fractional_rows(rng, n, dim):
+    """dim random rows of Q^n: a third of the entries zero, the rest of
+    either sign over denominators up to 997."""
+    return [
+        [F(0) if rng.random() < 1 / 3 else F(rng.randint(-9, 9), rng.randint(1, 997))
+         for _ in range(n)]
+        for _ in range(dim)
+    ]
+
+
+def _seeded_subspaces(seed):
+    """Zero, full and fractional subspaces of Q^1..Q^5, plus d = 2 products
+    h tensor w and h tensor W, grouped by ambient dimension."""
+    rng = random.Random(seed)
+    by_ambient = {}
+    for n in range(1, 6):
+        subs = [zero_subspace(n), full_subspace(n)]
+        subs += [span(_fractional_rows(rng, n, rng.randint(1, n)), n) for _ in range(8)]
+        by_ambient[n] = subs
+    for _ in range(8):
+        n = rng.randint(1, 3)
+        h = span(_fractional_rows(rng, n, rng.randint(1, n)), n)
+        w = span(_fractional_rows(rng, 2, 1), 2)
+        by_ambient.setdefault(2 * n, []).extend(
+            [kron(h, w), tensor_with_full_w(h, 2)]
+        )
+    return by_ambient
+
+
+class TestAnnihilator:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_orthogonal_and_full_rank(self, seed):
+        for n, subs in _seeded_subspaces(seed).items():
+            for s in subs:
+                ann = s.annihilator
+                assert all(len(y) == n for y in ann)
+                for row, y in itertools.product(s.int_rows, ann):
+                    assert sum(a * b for a, b in zip(row, y)) == 0
+                assert len(ann) == n - s.dim
+                assert _fraction_rank(ann) == n - s.dim
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_excess_rank_and_meet_dim_match_join_and_meet(self, seed):
+        pairs = 0
+        for subs in _seeded_subspaces(seed).values():
+            for a, b in itertools.product(subs, repeat=2):
+                assert excess_rank(a, b) == join(a, b).dim - b.dim
+                assert meet_dim(a, b) == meet(a, b).dim
+                pairs += 1
+        assert pairs > 400
+
+    def test_excess_rank_checks_ambient(self):
+        with pytest.raises(DimensionMismatchError):
+            excess_rank(full_subspace(2), zero_subspace(3))
+
+    def test_ignored_by_eq_hash_repr(self):
+        rows = _fractional_rows(random.Random(7), 4, 2)
+        a, b = span(rows, 4), span(rows, 4)
+        assert a.annihilator and b._ann is None
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        object.__setattr__(b, "_ann", ((1, 0, 0, 0),))
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "_ann" not in repr(a)
+
+
+class TestDigestFormat:
+    def test_ratio_matches_fraction_formatter(self):
+        rng = random.Random(31)
+        for subs in _seeded_subspaces(31).values():
+            for s in subs:
+                for row, p in zip(s.int_rows, s.pivots):
+                    assert [_format_ratio(x, row[p]) for x in row] == [
+                        _fraction_text(Fraction(x, row[p])) for x in row
+                    ]
+        for _ in range(500):
+            x, q = rng.randint(-10**6, 10**6), rng.randint(1, 997)
+            assert _format_ratio(x, q) == _fraction_text(Fraction(x, q))
+        assert [_format_ratio(x, 6) for x in (0, -6, 4, -9)] == ["0", "-1", "2/3", "-3/2"]
+
+    def test_digest_matches_fraction_rows(self):
+        for subs in _seeded_subspaces(32).values():
+            h = hashlib.sha256()
+            for s in subs:
+                h.update(f"{s.ambient_dim}:".encode())
+                for row in s.rows:
+                    h.update(";".join(_fraction_text(x) for x in row).encode())
+                    h.update(b"|")
+                h.update(b"#")
+            assert subspace_digest(subs) == h.hexdigest()

@@ -649,3 +649,26 @@ class TestClosureMeets:
                     pair_meets += 1
                     assert 0 < x.dim < min(a.dim, b.dim)
         assert pair_meets
+
+
+class TestClosureJoins:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_join_only_when_new(self, d, monkeypatch):
+        calls = []
+
+        def recording_join(a, b):
+            x = join(a, b)
+            calls.append((a, b, x))
+            return x
+
+        monkeypatch.setattr(stability, "join", recording_join)
+        rng = random.Random(110 + d)
+        joins = 0
+        for _ in range(16):
+            c = _pooled_config(rng, d, (F(1),), _small_entry)
+            calls.clear()
+            candidate_subspaces(c, rng.randint(1, 3))
+            for a, b, x in calls:
+                joins += 1
+                assert max(a.dim, b.dim) < x.dim < c.n
+        assert joins
