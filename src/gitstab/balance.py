@@ -143,44 +143,71 @@ def _g_factor(metric: HermitianMetric) -> np.ndarray:
     return np.linalg.cholesky(metric.matrix).conj().T
 
 
-def _move(g: np.ndarray, b: np.ndarray, n: int, d: int) -> np.ndarray:
+def _shape_groups(bases: list[tuple[float, np.ndarray]]):
+    """The item bases grouped by shape, in order of first appearance: one
+    (positions, weights, stack) per shape, where positions are the items'
+    indices in `bases`, so per-item terms can still be summed in item
+    order."""
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for pos, (_, b) in enumerate(bases):
+        by_shape.setdefault(b.shape, []).append(pos)
+    return [
+        (
+            np.array(pos),
+            np.array([bases[p][0] for p in pos]),
+            np.stack([bases[p][1] for p in pos]),
+        )
+        for pos in by_shape.values()
+    ]
+
+
+def _move_stacks(g: np.ndarray, groups, n: int, d: int):
+    """Every group's stack moved by g tensor 1."""
     if d == 1:
-        return g @ b
-    k = b.shape[1]
-    x = b.reshape(n, d, k)
-    return np.einsum("ab,bdk->adk", g, x).reshape(n * d, k)
+        return [(pos, w, g @ stack) for pos, w, stack in groups]
+    return [
+        (
+            pos,
+            w,
+            np.einsum("ab,sbdk->sadk", g, stack.reshape(len(stack), n, d, -1)).reshape(
+                stack.shape
+            ),
+        )
+        for pos, w, stack in groups
+    ]
 
 
-def _phi_from_moved(
-    moved: list[tuple[float, np.ndarray]], n: int, d: int, wp: float
-) -> np.ndarray:
+def _phi_of_stacks(groups, m: int, n: int, d: int, wp: float) -> np.ndarray:
+    terms = np.empty((m, n, n), dtype=complex)
+    for pos, w, stack in groups:
+        q = np.linalg.qr(stack).Q
+        p = q @ q.conj().swapaxes(1, 2)
+        if d > 1:
+            p = np.einsum("sadbd->sab", p.reshape(len(p), n, d, n, d))
+        terms[pos] = w[:, None, None] * p
     phi = -wp * np.eye(n, dtype=complex)
-    for w, mb in moved:
-        q, _ = np.linalg.qr(mb)
-        p = q @ q.conj().T
-        if d == 1:
-            tr_w = p
-        else:
-            tr_w = np.einsum("adbd->ab", p.reshape(n, d, n, d))
-        phi = phi + w * tr_w
+    for term in terms:
+        phi = phi + term
     return phi
 
 
 def _moved_config(c: WeightedConfiguration, metric: HermitianMetric):
-    """The metric's factor g, and the item bases moved by g tensor 1."""
+    """The metric's factor g, the item count, and the items' shape groups
+    moved by g tensor 1."""
     if metric.n != c.n:
         raise ValueError("metric size must be n")
     g = _g_factor(metric)
-    return g, [(w, _move(g, b, c.n, c.d)) for w, b in config_bases(c)]
+    bases = config_bases(c)
+    return g, len(bases), _move_stacks(g, _shape_groups(bases), c.n, c.d)
 
 
 def moment_map(c: WeightedConfiguration, metric: HermitianMetric) -> MomentValue:
     """Weighted sum of metric-orthogonal item projectors minus the slope
     multiple of the identity; for d > 1 projectors are partial-traced over
     the W factor down to V."""
-    _, moved = _moved_config(c, metric)
+    _, m, moved = _moved_config(c, metric)
     wp = _as_float(slope_total(c), "slope")
-    return MomentValue(_phi_from_moved(moved, c.n, c.d, wp))
+    return MomentValue(_phi_of_stacks(moved, m, c.n, c.d, wp))
 
 
 def kempf_ness_value(c: WeightedConfiguration, metric: HermitianMetric) -> float:
@@ -190,8 +217,9 @@ def kempf_ness_value(c: WeightedConfiguration, metric: HermitianMetric) -> float
     Scale-invariant in the metric; its directional derivative at the
     identity along a Hermitian traceless a equals <Phi, a>.
     """
-    g, moved = _moved_config(c, metric)
-    return _kn_of_moved(moved, _logdet_h(g), _as_float(slope_total(c), "slope"))
+    g, m, moved = _moved_config(c, metric)
+    logdet_h, _ = _logdet_h(g)
+    return _kn_of_stacks(moved, m, logdet_h, _as_float(slope_total(c), "slope"))
 
 
 def extract_destabilizer(phi: MomentValue, gap_tol: float) -> list[np.ndarray]:
@@ -214,24 +242,30 @@ def extract_destabilizer(phi: MomentValue, gap_tol: float) -> list[np.ndarray]:
     return flags
 
 
-def _kn_of_moved(moved: list[tuple[float, np.ndarray]], logdet_h: float, wp: float) -> float:
-    total = 0.0
-    for w, mb in moved:
-        r = np.linalg.qr(mb, mode="r")
-        diag = np.abs(np.diag(r))
-        if float(diag.min(initial=1.0)) <= 0:
+def _kn_of_stacks(groups, m: int, logdet_h: float, wp: float) -> float:
+    terms = np.empty(m)
+    for pos, w, stack in groups:
+        # the raw factor holds R (transposed) without the triu copy of
+        # mode="r"; the diagonal is all this needs, and it is the same
+        h, _ = np.linalg.qr(stack, mode="raw")
+        diag = np.abs(np.diagonal(h, axis1=1, axis2=2))
+        if (diag.min(axis=1) <= 0).any():
             raise ValueError("degenerate Gram matrix")
-        total += w * 2.0 * float(np.log(diag).sum())
+        terms[pos] = w * 2.0 * np.log(diag).sum(axis=1)
+    total = 0.0
+    for term in terms.tolist():
+        total += term
     return total - wp * logdet_h
 
 
-def _logdet_h(g: np.ndarray) -> float:
+def _logdet_h(g: np.ndarray) -> tuple[float, np.ndarray]:
+    """log det(g*g), and the singular values of g it was read from."""
     s = np.linalg.svd(g, compute_uv=False)
-    return 2.0 * float(np.log(s).sum())
+    return 2.0 * float(np.log(s).sum()), s
 
 
 def _descend(
-    bases: list[tuple[float, np.ndarray]],
+    groups,
     n: int,
     d: int,
     wp: float,
@@ -240,26 +274,38 @@ def _descend(
     g0: Optional[np.ndarray] = None,
 ):
     """Shared descent loop.  Returns (status, g, residual, iterations,
-    kn_value, hints) with hints pulled back to the original coordinates."""
+    kn_value, hints) with hints pulled back to the original coordinates.
+
+    `groups` are the items grouped by `_shape_groups`, so each evaluation
+    of the Kempf-Ness value or the moment value factors every group with
+    one QR call; per-item terms are still added in item order.  The singular
+    values behind an accepted trial's log-determinant serve the next
+    condition check, and a moment value the line search already computed
+    for the accepted trial is reused.  Every float is the same as with one
+    QR per item and fresh SVDs and moment values."""
+    m = sum(len(pos) for pos, _, _ in groups)
     g = np.eye(n, dtype=complex) if g0 is None else np.asarray(g0, dtype=complex)
 
     def norm_det(mat):
         s = np.linalg.svd(mat, compute_uv=False)
-        scale = float(np.exp(np.log(s).mean()))
+        scale = float(np.exp(np.log(s).sum() / len(s)))
         return mat / scale
+
+    def moment(moved):
+        phi = _phi_of_stacks(moved, m, n, d, wp)
+        return phi, float(np.linalg.norm(phi, "fro"))
 
     g = norm_det(g)
     eta = 1.0
-    moved = [(w, _move(g, b, n, d)) for w, b in bases]
-    f_cur = _kn_of_moved(moved, _logdet_h(g), wp)
+    moved = _move_stacks(g, groups, n, d)
+    logdet_h, sv = _logdet_h(g)
+    f_cur = _kn_of_stacks(moved, m, logdet_h, wp)
+    phi, res = moment(moved)
     iterations = 0
     for it in range(max_iter + 1):
         iterations = it
-        phi = _phi_from_moved(moved, n, d, wp)
-        res = float(np.linalg.norm(phi, "fro"))
         if res < tol:
             return SolveStatus.BALANCED, g, res, it, f_cur, None
-        sv = np.linalg.svd(g, compute_uv=False)
         cond_h = (float(sv.max()) / float(sv.min())) ** 2
         if cond_h > _COND_LIMIT:
             hints = _pulled_back_hints(phi, res, g)
@@ -276,30 +322,30 @@ def _descend(
         while eta > 1e-18:
             stepper = (u * np.exp(-eta * lam)) @ u.conj().T
             g_new = norm_det(stepper @ g)
-            moved_new = [(w, _move(g_new, b, n, d)) for w, b in bases]
+            moved_new = _move_stacks(g_new, groups, n, d)
             try:
-                f_new = _kn_of_moved(moved_new, _logdet_h(g_new), wp)
+                logdet_new, sv_new = _logdet_h(g_new)
+                f_new = _kn_of_stacks(moved_new, m, logdet_new, wp)
             except ValueError:
                 eta *= 0.5
                 continue
             wanted = 0.25 * eta * res * res
+            moment_new = None
             if wanted >= noise:
                 if f_new <= f_cur - wanted:
                     accepted = True
                     break
             else:
-                phi_new = _phi_from_moved(moved_new, n, d, wp)
-                res_new = float(np.linalg.norm(phi_new, "fro"))
-                if res_new < res and f_new <= f_cur + noise:
+                moment_new = moment(moved_new)
+                if moment_new[1] < res and f_new <= f_cur + noise:
                     accepted = True
                     break
             eta *= 0.5
         if not accepted:
             break
-        g, moved, f_cur = g_new, moved_new, f_new
+        g, moved, f_cur, sv = g_new, moved_new, f_new, sv_new
+        phi, res = moment(moved) if moment_new is None else moment_new
         eta = min(eta * 2.0, 1e6)
-    phi = _phi_from_moved(moved, n, d, wp)
-    res = float(np.linalg.norm(phi, "fro"))
     return SolveStatus.MAX_ITER, g, res, iterations, f_cur, None
 
 
@@ -338,10 +384,10 @@ def balance_solve(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    bases = config_bases(c)
+    groups = _shape_groups(config_bases(c))
     wp = _as_float(slope_total(c), "slope")
     status, g, res, iters, kn, hints = _descend(
-        bases, c.n, c.d, wp, tol, max_iter
+        groups, c.n, c.d, wp, tol, max_iter
     )
     metric = _metric_from_g(g)
     return BalanceResult(
@@ -377,7 +423,11 @@ class SampledBundleConfig:
             raise ValueError("need at least one sample point")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
         for t, (vol, frames) in enumerate(self.points):
+            if not np.isfinite(vol):
+                raise ValueError(f"point {t}: volume must be finite")
             if vol <= 0:
                 raise ValueError(f"point {t}: volume must be positive")
             if len(frames) != len(self.ranks):
@@ -386,6 +436,8 @@ class SampledBundleConfig:
                 a = np.asarray(a, dtype=complex)
                 if a.shape != (self.n_ambient, self.ranks[i]):
                     raise ValueError(f"point {t} frame {i}: wrong shape")
+                if not np.isfinite(a).all():
+                    raise ValueError(f"point {t} frame {i}: entries must be finite")
                 gram = a.conj().T @ a
                 if float(np.abs(gram - np.eye(self.ranks[i])).max()) > _FRAME_TOL:
                     raise ValueError(f"point {t} frame {i}: not orthonormal")
@@ -416,8 +468,11 @@ def _bundle_bases(b: SampledBundleConfig) -> list[tuple[float, np.ndarray]]:
 def bundle_moment_map(b: SampledBundleConfig) -> MomentValue:
     """Volume-weighted sum of the pointwise frame projectors, centered by
     the slope times total volume."""
+    bases = _bundle_bases(b)
     return MomentValue(
-        _phi_from_moved(_bundle_bases(b), b.n_ambient, 1, b.slope * b.volume)
+        _phi_of_stacks(
+            _shape_groups(bases), len(bases), b.n_ambient, 1, b.slope * b.volume
+        )
     )
 
 
@@ -432,10 +487,10 @@ def bundle_balance_solve(
     the worst entrywise disagreement of the two normalized metrics."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    bases = _bundle_bases(b)
+    groups = _shape_groups(_bundle_bases(b))
     n = b.n_ambient
     status, g, res, iters, kn, hints = _descend(
-        bases, n, 1, b.slope * b.volume, tol, max_iter
+        groups, n, 1, b.slope * b.volume, tol, max_iter
     )
     metric = _metric_from_g(g)
     agreement = None
@@ -444,7 +499,7 @@ def bundle_balance_solve(
         noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         g0 = np.eye(n, dtype=complex) + 0.2 * noise / np.sqrt(n)
         status2, g2, res2, _, _, _ = _descend(
-            bases, n, 1, b.slope * b.volume, tol, max_iter, g0=g0
+            groups, n, 1, b.slope * b.volume, tol, max_iter, g0=g0
         )
         if status2 == SolveStatus.BALANCED:
             h2 = _metric_from_g(g2)

@@ -89,11 +89,15 @@ def _is_number(raw) -> bool:
 
 
 def _float(raw, where: str) -> float:
-    """A JSON number as a float; integers past the float range are refused."""
+    """A JSON number as a float; integers past the float range, and the
+    NaN and Infinity that Python's json accepts, are refused."""
     try:
-        return float(raw)
+        x = float(raw)
     except OverflowError as exc:
         raise InputError(f"{where}: number too large") from exc
+    if not math.isfinite(x):
+        raise InputError(f"{where}: number must be finite")
+    return x
 
 
 def _complex_entry(raw, where: str) -> complex:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gitstab import balance
 from gitstab.balance import (
     BalanceResult,
     HermitianMetric,
@@ -11,14 +12,18 @@ from gitstab.balance import (
     NoGapError,
     SampledBundleConfig,
     SolveStatus,
+    _bundle_bases,
+    _metric_from_g,
+    _pulled_back_hints,
     balance_solve,
     bundle_balance_solve,
     bundle_moment_map,
+    config_bases,
     extract_destabilizer,
     kempf_ness_value,
     moment_map,
 )
-from gitstab.config import apply_gl, configuration
+from gitstab.config import apply_gl, configuration, slope_total
 from gitstab.linalg import RationalMatrix, span
 from gitstab.stability import candidate_subspaces, exactify_destabilizer, mu_lambda_s
 
@@ -257,6 +262,16 @@ class TestBundle:
         with pytest.raises(ValueError):
             SampledBundleConfig(2, (1.0,), (2,), ((1.0, (e1,)),))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        e1 = _frame([[1, 0]])
+        with pytest.raises(ValueError, match="volume must be finite"):
+            SampledBundleConfig(2, (1.0,), (1,), ((bad, (e1,)),))
+        with pytest.raises(ValueError, match="entries must be finite"):
+            SampledBundleConfig(2, (1.0,), (1,), ((1.0, (_frame([[1, bad]]),)),))
+        with pytest.raises(ValueError, match="weights must be finite"):
+            SampledBundleConfig(2, (bad,), (1,), ((1.0, (e1,)),))
+
     def test_single_point_matches_flat_moment_map(self):
         c = configuration(2, 1, [(line(2, 1, 0), 1), (line(2, 0, 1), 3)])
         b = SampledBundleConfig(
@@ -310,3 +325,297 @@ class TestBundle:
         r = bundle_balance_solve(b)
         assert r.status == SolveStatus.BALANCED
         assert r.destabilizer_hint is None
+
+
+# The descent as it ran before the items were stacked by shape: one QR per
+# item, a fresh SVD for every condition check and a fresh moment value per
+# iteration.  The stacked descent must reproduce every float it returns.
+
+
+def _ref_move(g, b, n, d):
+    if d == 1:
+        return g @ b
+    k = b.shape[1]
+    x = b.reshape(n, d, k)
+    return np.einsum("ab,bdk->adk", g, x).reshape(n * d, k)
+
+
+def _ref_phi_from_moved(moved, n, d, wp):
+    phi = -wp * np.eye(n, dtype=complex)
+    for w, mb in moved:
+        q, _ = np.linalg.qr(mb)
+        p = q @ q.conj().T
+        if d == 1:
+            tr_w = p
+        else:
+            tr_w = np.einsum("adbd->ab", p.reshape(n, d, n, d))
+        phi = phi + w * tr_w
+    return phi
+
+
+def _ref_kn_of_moved(moved, logdet_h, wp):
+    total = 0.0
+    for w, mb in moved:
+        r = np.linalg.qr(mb, mode="r")
+        diag = np.abs(np.diag(r))
+        if float(diag.min(initial=1.0)) <= 0:
+            raise ValueError("degenerate Gram matrix")
+        total += w * 2.0 * float(np.log(diag).sum())
+    return total - wp * logdet_h
+
+
+def _ref_logdet_h(g):
+    s = np.linalg.svd(g, compute_uv=False)
+    return 2.0 * float(np.log(s).sum())
+
+
+def _ref_descend(bases, n, d, wp, tol, max_iter, g0=None):
+    g = np.eye(n, dtype=complex) if g0 is None else np.asarray(g0, dtype=complex)
+
+    def norm_det(mat):
+        s = np.linalg.svd(mat, compute_uv=False)
+        scale = float(np.exp(np.log(s).mean()))
+        return mat / scale
+
+    g = norm_det(g)
+    eta = 1.0
+    moved = [(w, _ref_move(g, b, n, d)) for w, b in bases]
+    f_cur = _ref_kn_of_moved(moved, _ref_logdet_h(g), wp)
+    iterations = 0
+    for it in range(max_iter + 1):
+        iterations = it
+        phi = _ref_phi_from_moved(moved, n, d, wp)
+        res = float(np.linalg.norm(phi, "fro"))
+        if res < tol:
+            return SolveStatus.BALANCED, g, res, it, f_cur, None
+        sv = np.linalg.svd(g, compute_uv=False)
+        cond_h = (float(sv.max()) / float(sv.min())) ** 2
+        if cond_h > 1e12:
+            hints = _pulled_back_hints(phi, res, g)
+            return SolveStatus.DIVERGED, g, res, it, f_cur, hints
+        if it == max_iter:
+            break
+        lam, u = np.linalg.eigh(phi)
+        noise = 64.0 * np.finfo(float).eps * (1.0 + abs(f_cur))
+        accepted = False
+        while eta > 1e-18:
+            stepper = (u * np.exp(-eta * lam)) @ u.conj().T
+            g_new = norm_det(stepper @ g)
+            moved_new = [(w, _ref_move(g_new, b, n, d)) for w, b in bases]
+            try:
+                f_new = _ref_kn_of_moved(moved_new, _ref_logdet_h(g_new), wp)
+            except ValueError:
+                eta *= 0.5
+                continue
+            wanted = 0.25 * eta * res * res
+            if wanted >= noise:
+                if f_new <= f_cur - wanted:
+                    accepted = True
+                    break
+            else:
+                phi_new = _ref_phi_from_moved(moved_new, n, d, wp)
+                res_new = float(np.linalg.norm(phi_new, "fro"))
+                if res_new < res and f_new <= f_cur + noise:
+                    accepted = True
+                    break
+            eta *= 0.5
+        if not accepted:
+            break
+        g, moved, f_cur = g_new, moved_new, f_new
+        eta = min(eta * 2.0, 1e6)
+    phi = _ref_phi_from_moved(moved, n, d, wp)
+    res = float(np.linalg.norm(phi, "fro"))
+    return SolveStatus.MAX_ITER, g, res, iterations, f_cur, None
+
+
+def _assert_same_result(r, ref, agreement=None):
+    status, g, res, iters, kn, hints = ref
+    assert r.status == status
+    assert np.array_equal(r.metric.matrix, _metric_from_g(g).matrix)
+    assert r.residual == res
+    assert r.iterations == iters
+    assert r.kn_value == kn
+    if hints is None:
+        assert r.destabilizer_hint is None
+    else:
+        assert len(r.destabilizer_hint) == len(hints)
+        assert all(np.array_equal(a, b) for a, b in zip(r.destabilizer_hint, hints))
+    assert r.metric_agreement == agreement
+
+
+def _plane(n, *rows):
+    return span([[F(x) for x in row] for row in rows], n)
+
+
+_SAME_AS_PER_ITEM = {
+    # four lines in C^2 with unequal weights; reaches a zero of the moment map
+    "balanced": (
+        configuration(
+            2,
+            1,
+            [(line(2, 1, 0), 1), (line(2, 0, 1), 1), (line(2, 1, 1), 1), (line(2, 1, -1), 2)],
+        ),
+        300,
+        SolveStatus.BALANCED,
+    ),
+    "diverged": (
+        configuration(2, 1, [(line(2, 1, 0), 5), (line(2, 0, 1), 1), (line(2, 1, 3), 1)]),
+        300,
+        SolveStatus.DIVERGED,
+    ),
+    # semistable and not split: the descent never settles
+    "max_iter": (
+        configuration(2, 1, [(line(2, 1, 2), 2), (line(2, 3, -1), 1), (line(2, 2, 5), 1)]),
+        120,
+        SolveStatus.MAX_ITER,
+    ),
+    # ranks 1, 2, 3 interleaved with unequal weights, so the shape groups
+    # hold items out of their order; nine items, so a pairwise sum of the
+    # per-item terms would round differently from the running sum
+    "mixed_ranks": (
+        configuration(
+            4,
+            1,
+            [
+                (line(4, 1, 2, 0, -1), 3),
+                (_plane(4, [1, 0, 1, 0], [0, 1, 0, 2]), 2),
+                (line(4, 0, 1, 3, 1), 7),
+                (_plane(4, [1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 3]), 1),
+                (_plane(4, [2, 1, 0, 0], [0, 0, 1, -1]), 5),
+                (line(4, 1, -1, 1, 2), 4),
+                (_plane(4, [1, 0, 0, 2], [0, 1, -1, 0], [0, 0, 2, 1]), 2),
+                (line(4, 3, 0, 1, 1), 1),
+                (_plane(4, [0, 1, 0, 1], [1, 0, -2, 0]), 6),
+            ],
+        ),
+        300,
+        None,
+    ),
+    "d2": (
+        configuration(
+            2,
+            2,
+            [
+                (line(4, 1, 0, 2, 1), 2),
+                (_plane(4, [1, 1, 0, 0], [0, 0, 1, -1]), 3),
+                (line(4, 0, 1, 1, 0), 1),
+                (_plane(4, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]), 1),
+            ],
+        ),
+        300,
+        None,
+    ),
+    "zero_and_full": (
+        configuration(
+            2,
+            1,
+            [
+                (span([], 2), 3),
+                (line(2, 1, 0), 1),
+                (_plane(2, [1, 0], [0, 1]), 2),
+                (line(2, 0, 1), 1),
+                (line(2, 1, 1), 1),
+            ],
+        ),
+        300,
+        None,
+    ),
+}
+
+
+class TestStackedDescentMatchesPerItem:
+    @pytest.mark.parametrize("name", sorted(_SAME_AS_PER_ITEM))
+    def test_balance_solve(self, name):
+        c, max_iter, status = _SAME_AS_PER_ITEM[name]
+        wp = float(slope_total(c))
+        ref = _ref_descend(config_bases(c), c.n, c.d, wp, 1e-10, max_iter)
+        r = balance_solve(c, max_iter=max_iter)
+        if status is not None:
+            assert r.status == status
+        if status == SolveStatus.DIVERGED:
+            assert r.destabilizer_hint
+        _assert_same_result(r, ref)
+
+    def test_moment_and_kn_values(self):
+        nprng = np.random.default_rng(5)
+        for c, _, _ in _SAME_AS_PER_ITEM.values():
+            wp = float(slope_total(c))
+            for _ in range(8):
+                h = HermitianMetric.from_matrix(
+                    _expm_herm(_rand_herm_traceless(nprng, c.n), 0.4)
+                )
+                g = np.linalg.cholesky(h.matrix).conj().T
+                moved = [(w, _ref_move(g, b, c.n, c.d)) for w, b in config_bases(c)]
+                phi = _ref_phi_from_moved(moved, c.n, c.d, wp)
+                assert np.array_equal(moment_map(c, h).matrix, phi)
+                kn = _ref_kn_of_moved(moved, _ref_logdet_h(g), wp)
+                assert kempf_ness_value(c, h) == kn
+
+    def test_bundle_restart(self):
+        b = SampledBundleConfig(
+            2,
+            (2.0, 1.0),
+            (1, 1),
+            (
+                (0.2, (_frame([[1, 0]]), _frame([[0, 1]]))),
+                (0.3, (_frame([[1, 1]]) / np.sqrt(2), _frame([[1, -1]]) / np.sqrt(2))),
+                (0.5, (_frame([[3, 4]]) / 5, _frame([[4, -3]]) / 5)),
+            ),
+        )
+        bases = _bundle_bases(b)
+        wp = b.slope * b.volume
+        ref = _ref_descend(bases, 2, 1, wp, 1e-10, 300)
+        assert ref[0] == SolveStatus.BALANCED
+        rng = np.random.default_rng(0)
+        noise = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        g0 = np.eye(2, dtype=complex) + 0.2 * noise / np.sqrt(2)
+        ref2 = _ref_descend(bases, 2, 1, wp, 1e-10, 300, g0=g0)
+        assert ref2[0] == SolveStatus.BALANCED
+        agreement = float(
+            np.abs(_metric_from_g(ref[1]).matrix - _metric_from_g(ref2[1]).matrix).max()
+        )
+        _assert_same_result(bundle_balance_solve(b, max_iter=300), ref, agreement)
+        assert np.array_equal(
+            bundle_moment_map(b).matrix, _ref_phi_from_moved(bases, 2, 1, wp)
+        )
+
+
+@pytest.mark.parametrize(
+    "items, groups",
+    [
+        ([(line(2, 1, 2), 2), (line(2, 3, -1), 1), (line(2, 2, 5), 1)], 1),
+        ([(line(3, 1, 0, 2), 1), (_plane(3, [1, 1, 0], [0, 1, 1]), 1), (line(3, 0, 1, -1), 1)], 2),
+    ],
+    ids=["three_lines", "lines_and_plane"],
+)
+def test_lapack_calls_per_trial(monkeypatch, items, groups):
+    # every line-search trial takes one log-determinant; the condition check
+    # reuses its singular values, and each evaluation factors every shape
+    # group with one QR call
+    c = configuration(items[0][0].ambient_dim, 1, items)
+    counts = {"svd": 0, "kn_qr": 0, "phi_qr": 0, "logdet": 0}
+    svd, qr, logdet_h = np.linalg.svd, np.linalg.qr, balance._logdet_h
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_qr(a, mode="reduced"):
+        counts["phi_qr" if mode == "reduced" else "kn_qr"] += 1
+        return qr(a, mode=mode)
+
+    def counting_logdet_h(g):
+        counts["logdet"] += 1
+        return logdet_h(g)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(balance, "_logdet_h", counting_logdet_h)
+    r = balance_solve(c, max_iter=50)
+    assert r.iterations > 0
+    trials = counts["logdet"]
+    # one SVD to det-normalize each trial's g (and the start), one for its
+    # log-determinant, and one for the returned metric
+    assert counts["svd"] == 2 * trials + 1
+    assert counts["kn_qr"] == groups * trials
+    assert counts["phi_qr"] <= groups * trials

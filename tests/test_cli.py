@@ -423,6 +423,28 @@ class TestBalanceCommands:
         assert code == 2
         assert json.loads(out)["error"].startswith(f"{path}: {field}:")
 
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("points[0].volume", {"points": [{"volume": float("nan"), "frames": [[[1]]]}]}),
+            ("points[0].volume", {"points": [{"volume": float("inf"), "frames": [[[1]]]}]}),
+            ("points[0].frames[0]", {"points": [{"volume": 1.0, "frames": [[[float("nan")]]]}]}),
+        ],
+    )
+    def test_non_finite_numbers_name_field(self, tmp_path, capsys, field, change):
+        # Python's json reads NaN and Infinity; they must not reach the SVD
+        data = {
+            "N": 1,
+            "weights": ["1"],
+            "ranks": [1],
+            "points": [{"volume": 1.0, "frames": [[[1]]]}],
+        }
+        data.update(change)
+        path = write(tmp_path, "bundle.json", data)
+        code, out = run_cli(capsys, ["bundle-balance", path, "--no-timestamp"])
+        assert code == 2
+        assert json.loads(out)["error"] == f"{path}: {field}: number must be finite"
+
 
 class TestCorrespondenceCommands:
     def test_gm(self, tmp_path, capsys):
