@@ -177,10 +177,10 @@ def _move_stacks(g: np.ndarray, groups, n: int, d: int):
     ]
 
 
-def _phi_of_stacks(groups, m: int, n: int, d: int, wp: float) -> np.ndarray:
-    terms = np.empty((m, n, n), dtype=complex)
+def _phi_of_stacks(groups, n: int, d: int, wp: float) -> np.ndarray:
+    terms = np.empty((sum(len(pos) for pos, _, _ in groups), n, n), dtype=complex)
     for pos, w, stack in groups:
-        q = np.linalg.qr(stack).Q
+        q, _ = np.linalg.qr(stack)
         p = q @ q.conj().swapaxes(1, 2)
         if d > 1:
             p = np.einsum("sadbd->sab", p.reshape(len(p), n, d, n, d))
@@ -192,22 +192,20 @@ def _phi_of_stacks(groups, m: int, n: int, d: int, wp: float) -> np.ndarray:
 
 
 def _moved_config(c: WeightedConfiguration, metric: HermitianMetric):
-    """The metric's factor g, the item count, and the items' shape groups
-    moved by g tensor 1."""
+    """The metric's factor g and the items' shape groups moved by g tensor 1."""
     if metric.n != c.n:
         raise ValueError("metric size must be n")
     g = _g_factor(metric)
-    bases = config_bases(c)
-    return g, len(bases), _move_stacks(g, _shape_groups(bases), c.n, c.d)
+    return g, _move_stacks(g, _shape_groups(config_bases(c)), c.n, c.d)
 
 
 def moment_map(c: WeightedConfiguration, metric: HermitianMetric) -> MomentValue:
     """Weighted sum of metric-orthogonal item projectors minus the slope
     multiple of the identity; for d > 1 projectors are partial-traced over
     the W factor down to V."""
-    _, m, moved = _moved_config(c, metric)
+    _, moved = _moved_config(c, metric)
     wp = _as_float(slope_total(c), "slope")
-    return MomentValue(_phi_of_stacks(moved, m, c.n, c.d, wp))
+    return MomentValue(_phi_of_stacks(moved, c.n, c.d, wp))
 
 
 def kempf_ness_value(c: WeightedConfiguration, metric: HermitianMetric) -> float:
@@ -217,9 +215,9 @@ def kempf_ness_value(c: WeightedConfiguration, metric: HermitianMetric) -> float
     Scale-invariant in the metric; its directional derivative at the
     identity along a Hermitian traceless a equals <Phi, a>.
     """
-    g, m, moved = _moved_config(c, metric)
+    g, moved = _moved_config(c, metric)
     logdet_h, _ = _logdet_h(g)
-    return _kn_of_stacks(moved, m, logdet_h, _as_float(slope_total(c), "slope"))
+    return _kn_of_stacks(moved, logdet_h, _as_float(slope_total(c), "slope"))
 
 
 def extract_destabilizer(phi: MomentValue, gap_tol: float) -> list[np.ndarray]:
@@ -242,8 +240,8 @@ def extract_destabilizer(phi: MomentValue, gap_tol: float) -> list[np.ndarray]:
     return flags
 
 
-def _kn_of_stacks(groups, m: int, logdet_h: float, wp: float) -> float:
-    terms = np.empty(m)
+def _kn_of_stacks(groups, logdet_h: float, wp: float) -> float:
+    terms = np.empty(sum(len(pos) for pos, _, _ in groups))
     for pos, w, stack in groups:
         # the raw factor holds R (transposed) without the triu copy of
         # mode="r"; the diagonal is all this needs, and it is the same
@@ -283,23 +281,22 @@ def _descend(
     condition check, and a moment value the line search already computed
     for the accepted trial is reused.  Every float is the same as with one
     QR per item and fresh SVDs and moment values."""
-    m = sum(len(pos) for pos, _, _ in groups)
     g = np.eye(n, dtype=complex) if g0 is None else np.asarray(g0, dtype=complex)
 
     def norm_det(mat):
         s = np.linalg.svd(mat, compute_uv=False)
-        scale = float(np.exp(np.log(s).sum() / len(s)))
+        scale = float(np.exp(np.log(s).mean()))
         return mat / scale
 
     def moment(moved):
-        phi = _phi_of_stacks(moved, m, n, d, wp)
+        phi = _phi_of_stacks(moved, n, d, wp)
         return phi, float(np.linalg.norm(phi, "fro"))
 
     g = norm_det(g)
     eta = 1.0
     moved = _move_stacks(g, groups, n, d)
     logdet_h, sv = _logdet_h(g)
-    f_cur = _kn_of_stacks(moved, m, logdet_h, wp)
+    f_cur = _kn_of_stacks(moved, logdet_h, wp)
     phi, res = moment(moved)
     iterations = 0
     for it in range(max_iter + 1):
@@ -325,7 +322,7 @@ def _descend(
             moved_new = _move_stacks(g_new, groups, n, d)
             try:
                 logdet_new, sv_new = _logdet_h(g_new)
-                f_new = _kn_of_stacks(moved_new, m, logdet_new, wp)
+                f_new = _kn_of_stacks(moved_new, logdet_new, wp)
             except ValueError:
                 eta *= 0.5
                 continue
@@ -468,12 +465,8 @@ def _bundle_bases(b: SampledBundleConfig) -> list[tuple[float, np.ndarray]]:
 def bundle_moment_map(b: SampledBundleConfig) -> MomentValue:
     """Volume-weighted sum of the pointwise frame projectors, centered by
     the slope times total volume."""
-    bases = _bundle_bases(b)
-    return MomentValue(
-        _phi_of_stacks(
-            _shape_groups(bases), len(bases), b.n_ambient, 1, b.slope * b.volume
-        )
-    )
+    groups = _shape_groups(_bundle_bases(b))
+    return MomentValue(_phi_of_stacks(groups, b.n_ambient, 1, b.slope * b.volume))
 
 
 def bundle_balance_solve(

@@ -619,3 +619,27 @@ def test_lapack_calls_per_trial(monkeypatch, items, groups):
     assert counts["svd"] == 2 * trials + 1
     assert counts["kn_qr"] == groups * trials
     assert counts["phi_qr"] <= groups * trials
+
+
+def test_qr_results_as_plain_tuples(monkeypatch):
+    # numpy before 2.0 returns QR factors as a plain tuple, not a named one
+    c = configuration(
+        3,
+        1,
+        [(line(3, 1, 0, 2), 1), (_plane(3, [1, 1, 0], [0, 1, 1]), 1), (line(3, 0, 1, -1), 1)],
+    )
+    herm = _rand_herm_traceless(np.random.default_rng(3), 3)
+    h = HermitianMetric.from_matrix(_expm_herm(herm, 0.4))
+    want = (moment_map(c, h).matrix, kempf_ness_value(c, h), balance_solve(c, max_iter=50))
+    qr = np.linalg.qr
+
+    def tuple_qr(a, mode="reduced"):
+        out = qr(a, mode=mode)
+        return tuple(out) if isinstance(out, tuple) else out
+
+    monkeypatch.setattr(np.linalg, "qr", tuple_qr)
+    assert np.array_equal(moment_map(c, h).matrix, want[0])
+    assert kempf_ness_value(c, h) == want[1]
+    r = balance_solve(c, max_iter=50)
+    assert np.array_equal(r.metric.matrix, want[2].metric.matrix)
+    assert r.residual == want[2].residual
