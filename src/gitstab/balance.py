@@ -303,7 +303,10 @@ def _descend(
         iterations = it
         if res < tol:
             return SolveStatus.BALANCED, g, res, it, f_cur, None
-        cond_h = (float(sv.max()) / float(sv.min())) ** 2
+        try:
+            cond_h = (float(sv.max()) / float(sv.min())) ** 2
+        except OverflowError:
+            cond_h = float("inf")
         if cond_h > _COND_LIMIT:
             hints = _pulled_back_hints(phi, res, g)
             return SolveStatus.DIVERGED, g, res, it, f_cur, hints
@@ -318,12 +321,12 @@ def _descend(
         accepted = False
         while eta > 1e-18:
             stepper = (u * np.exp(-eta * lam)) @ u.conj().T
-            g_new = norm_det(stepper @ g)
-            moved_new = _move_stacks(g_new, groups, n, d)
             try:
+                g_new = norm_det(stepper @ g)
+                moved_new = _move_stacks(g_new, groups, n, d)
                 logdet_new, sv_new = _logdet_h(g_new)
                 f_new = _kn_of_stacks(moved_new, logdet_new, wp)
-            except ValueError:
+            except ValueError:  # a non-finite trial raises LinAlgError, a ValueError
                 eta *= 0.5
                 continue
             wanted = 0.25 * eta * res * res

@@ -9,7 +9,6 @@ and tensor products of filtration families.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -344,56 +343,54 @@ def mfiltration_to_config(f: MFiltration) -> WeightedConfiguration:
     return WeightedConfiguration(f.n, 1, tuple(items))
 
 
-def _unit_chain(n: int, chain, scale: int) -> list[Subspace]:
-    """Full to zero, each step repeated (weight * scale) times."""
-    out = [full_subspace(n)]
+def _breakpoints(n: int, chain) -> list[tuple[Fraction, Subspace]]:
+    """(cumulative weight, step) pairs, led by (0, full space)."""
+    out = [(Fraction(0), full_subspace(n))]
     for sub, w in chain:
-        reps = w * scale
-        if reps.denominator != 1:
-            raise AssertionError("weight scaling failed to clear denominators")
-        out.extend([sub] * int(reps))
-    out.append(zero_subspace(n))
+        out.append((out[-1][0] + w, sub))
     return out
 
 
 def tensor_filtrations(a: MFiltration, b: MFiltration) -> MFiltration:
-    """Convolution of chains: level l of the product is the join over
-    p + q = l of the Kronecker products of levels p and q.
+    """Convolution of chains, evaluated at the weight breakpoints.
 
-    Rational weights are jointly scaled to integers first (unit-step
-    expansion), and output multiplicities are scaled back, so the result
-    is invariant under common rescaling of the inputs.
+    With steps A_i at cumulative weights alpha_i in one chain and B_j at
+    beta_j in the other, the chains decreasing, the product level at t > 0
+    is the join of A_i (x) B_j over the pairs with alpha_i + beta_j >= t.
+    So each distinct positive sum gives one level, weighted by its gap to
+    the next smaller sum; zero levels are dropped and equal neighbours
+    merged.  The cost is one kron and one join per pair of breakpoints,
+    whatever the weights.
     """
     if a.m != b.m:
         raise ValueError("filtration families must have the same m")
-    denoms = [
-        w.denominator
-        for f in (a, b)
-        for chain in f.filtrations
-        for _, w in chain
-    ]
-    scale = math.lcm(*denoms) if denoms else 1
     big_n = a.n * b.n
     if big_n > MAX_AMBIENT:
         raise ValueError(f"n: the product dimension must be at most {MAX_AMBIENT}")
     out_chains = []
     for chain_a, chain_b in zip(a.filtrations, b.filtrations):
-        ca = _unit_chain(a.n, chain_a, scale)
-        cb = _unit_chain(b.n, chain_b, scale)
-        p_max, q_max = len(ca) - 1, len(cb) - 1
-        levels = []
-        for l in range(1, p_max + q_max):
-            acc = zero_subspace(big_n)
-            for p in range(max(0, l - q_max), min(p_max, l) + 1):
-                acc = join(acc, kron(ca[p], cb[l - p]))
-            levels.append(acc)
+        pairs = sorted(
+            (
+                (alpha + beta, sub_a, sub_b)
+                for alpha, sub_a in _breakpoints(a.n, chain_a)
+                for beta, sub_b in _breakpoints(b.n, chain_b)
+            ),
+            key=lambda pair: -pair[0],
+        )
+        # level at each sum, built from the largest sum down
+        levels: dict[Fraction, Subspace] = {}
+        acc = zero_subspace(big_n)
+        for total, sub_a, sub_b in pairs:
+            acc = levels[total] = join(acc, kron(sub_a, sub_b))
         steps: list[tuple[Subspace, Fraction]] = []
-        for sub in levels:
+        sums = sorted(levels)
+        for below, total in zip(sums, sums[1:]):
+            sub, w = levels[total], total - below
             if sub.is_zero:
                 continue
             if steps and steps[-1][0] == sub:
-                steps[-1] = (sub, steps[-1][1] + Fraction(1, scale))
+                steps[-1] = (sub, steps[-1][1] + w)
             else:
-                steps.append((sub, Fraction(1, scale)))
+                steps.append((sub, w))
         out_chains.append(tuple(steps))
     return MFiltration(big_n, tuple(out_chains))

@@ -446,6 +446,34 @@ class TestBalanceCommands:
         assert json.loads(out)["error"] == f"{path}: {field}: number must be finite"
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("weight", ["1000000", "100000000000000000000"])
+    @pytest.mark.parametrize(
+        "argv, status",
+        [(["balance"], "Diverged"), (["check", "--numeric"], "Unstable")],
+        ids=["balance", "check"],
+    )
+    def test_wide_weight_range(self, tmp_path, capsys, weight, argv, status):
+        # early trial steps overflow exp(-eta * lam); the line search rejects
+        # them, and an overflowing condition number counts as infinite
+        path = write(
+            tmp_path,
+            "wide.json",
+            {
+                "n": 2,
+                "d": 1,
+                "items": [
+                    {"weight": weight, "basis": [["1", "0"]]},
+                    {"weight": "1/7", "basis": [["0", "1"]]},
+                    {"weight": "1", "basis": [["1", "1"]]},
+                ],
+            },
+        )
+        code, out = run_cli(capsys, argv + [path, "--no-timestamp"])
+        assert code == 0
+        assert json.loads(out)["result"]["status"] == status
+
+
 class TestCorrespondenceCommands:
     def test_gm(self, tmp_path, capsys):
         code, out = run_cli(capsys, ["gm", stable_triple(tmp_path), "--no-timestamp"])
@@ -564,6 +592,31 @@ class TestTensorCommand:
         code, out = run_cli(capsys, ["tensor", path, path, "--no-timestamp"])
         assert code == 2
         assert json.loads(out)["error"].startswith("n: ")
+
+
+    @pytest.mark.parametrize(
+        "weight, middle",
+        [("100000000000000000000", "699999999999999999999/7"), ("3000", "20999/7")],
+    )
+    def test_weights_far_apart(self, tmp_path, capsys, weight, middle):
+        # the product is evaluated at weight breakpoints, not on a unit grid
+        heavy, light = (
+            write(
+                tmp_path,
+                f"{name}.json",
+                {"n": 2, "filtrations": [[{"weight": w, "basis": [["1", "0"]]}]]},
+            )
+            for name, w in (("heavy", weight), ("light", "1/7"))
+        )
+        code, out = run_cli(capsys, ["tensor", heavy, light, "--no-timestamp"])
+        assert code == 0
+        chain = json.loads(out)["result"]["filtration"]["filtrations"][0]
+        e = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]]
+        assert chain == [
+            {"weight": "1/7", "basis": e},
+            {"weight": middle, "basis": e[:2]},
+            {"weight": "1/7", "basis": e[:1]},
+        ]
 
 
 class TestConeCommand:

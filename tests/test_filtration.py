@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from gitstab import filtration
 from gitstab.config import (
     ConfigSchemaError,
     apply_gl,
@@ -23,7 +25,15 @@ from gitstab.filtration import (
     restrict_to,
     tensor_filtrations,
 )
-from gitstab.linalg import full_subspace, join, meet, span, zero_subspace
+from gitstab.linalg import (
+    RationalMatrix,
+    full_subspace,
+    join,
+    kron,
+    meet,
+    span,
+    zero_subspace,
+)
 from gitstab.stability import Status, candidate_subspaces, decide
 
 from util import rand_config, rand_invertible, rand_subspace, transform_subspace
@@ -400,3 +410,166 @@ class TestTensorFiltrations:
         for ch1, ch2 in zip(t1.filtrations, t2.filtrations):
             for (_, w1), (_, w2) in zip(ch1, ch2):
                 assert w2 == w1 / 2
+
+
+def _unit_chain(n: int, chain, scale: int) -> list:
+    """Full to zero, each step repeated (weight * scale) times."""
+    out = [full_subspace(n)]
+    for sub, w in chain:
+        reps = w * scale
+        assert reps.denominator == 1
+        out.extend([sub] * int(reps))
+    out.append(zero_subspace(n))
+    return out
+
+
+def _unit_tensor_reference(a: MFiltration, b: MFiltration) -> MFiltration:
+    """The product by unit-step expansion: weights jointly scaled to
+    integers, level l the join over p + q = l of the Kronecker products of
+    unit levels p and q, each level of weight 1/scale.  Its cost grows
+    with the weights, so it serves only as a reference here."""
+    denoms = [
+        w.denominator for f in (a, b) for chain in f.filtrations for _, w in chain
+    ]
+    scale = math.lcm(*denoms) if denoms else 1
+    big_n = a.n * b.n
+    out_chains = []
+    for chain_a, chain_b in zip(a.filtrations, b.filtrations):
+        ca = _unit_chain(a.n, chain_a, scale)
+        cb = _unit_chain(b.n, chain_b, scale)
+        p_max, q_max = len(ca) - 1, len(cb) - 1
+        steps = []
+        for l in range(1, p_max + q_max):
+            sub = zero_subspace(big_n)
+            for p in range(max(0, l - q_max), min(p_max, l) + 1):
+                sub = join(sub, kron(ca[p], cb[l - p]))
+            if sub.is_zero:
+                continue
+            if steps and steps[-1][0] == sub:
+                steps[-1] = (sub, steps[-1][1] + F(1, scale))
+            else:
+                steps.append((sub, F(1, scale)))
+        out_chains.append(tuple(steps))
+    return MFiltration(big_n, tuple(out_chains))
+
+
+def _rand_family(rng: random.Random, n: int, m: int, max_steps: int) -> MFiltration:
+    """m weakly decreasing chains with fractional weights; a step may be 0,
+    the full space or a repeat of the step before it."""
+    chains = []
+    for _ in range(m):
+        chain, prev = [], full_subspace(n)
+        for _ in range(rng.randint(0, max_steps)):
+            combos = [
+                [rng.randint(-2, 2) for _ in prev.rows]
+                for _ in range(rng.randint(0, prev.dim))
+            ]
+            vectors = [
+                [sum(c * row[i] for c, row in zip(cs, prev.rows)) for i in range(n)]
+                for cs in combos
+            ]
+            prev = span(vectors, n)
+            chain.append((prev, F(rng.randint(1, 3), rng.choice((1, 2, 3, 7)))))
+        chains.append(tuple(chain))
+    return MFiltration(n, tuple(chains))
+
+
+def _rand_pair(rng: random.Random, max_steps: int):
+    m = rng.randint(1, 3)
+    a = _rand_family(rng, rng.randint(1, 3), m, max_steps)
+    return a, _rand_family(rng, rng.randint(1, 3), m, max_steps)
+
+
+def _combine(terms) -> RationalMatrix:
+    """The sum of c * M over the (c, M) terms, all of one shape."""
+    first = terms[0][1]
+    return RationalMatrix(
+        first.rows,
+        first.cols,
+        tuple(
+            sum(c * mat.entries[k] for c, mat in terms)
+            for k in range(first.rows * first.cols)
+        ),
+    )
+
+
+def _matrix_kron(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
+    """x tensor y, a-major like kron on subspaces."""
+    return RationalMatrix.from_rows(
+        [x.entry(i, j) * y.entry(k, l) for j in range(x.cols) for l in range(y.cols)]
+        for i in range(x.rows)
+        for k in range(y.rows)
+    )
+
+
+def _moment(f: MFiltration, h: RationalMatrix) -> RationalMatrix:
+    """Phi_f(H): the sum of w * P_A over the nonzero chain steps (A, w),
+    with P_A the H-orthogonal projection onto A, made traceless."""
+    terms, total = [], F(0)
+    for chain in f.filtrations:
+        for sub, w in chain:
+            if sub.is_zero:
+                continue
+            b = sub.basis
+            bt_h = b.transpose() @ h
+            terms.append((w, b @ (bt_h @ b).inverse() @ bt_h))
+            total += w * sub.dim
+    return _combine(terms + [(-total / f.n, RationalMatrix.identity(f.n))])
+
+
+def _rand_gram(rng: random.Random, n: int) -> RationalMatrix:
+    """A^T A for a random invertible integer A with entries in -3..3."""
+    while True:
+        a = RationalMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        )
+        if a.det() != 0:
+            return a.transpose() @ a
+
+
+def _identity_holds(a: MFiltration, b: MFiltration, rng: random.Random) -> bool:
+    """Phi_{a (x) b}(H_a (x) H_b) == Phi_a(H_a) (x) I + I (x) Phi_b(H_b)."""
+    h_a, h_b = _rand_gram(rng, a.n), _rand_gram(rng, b.n)
+    one_a, one_b = RationalMatrix.identity(a.n), RationalMatrix.identity(b.n)
+    left = _moment(tensor_filtrations(a, b), _matrix_kron(h_a, h_b))
+    right = _combine(
+        [
+            (1, _matrix_kron(_moment(a, h_a), one_b)),
+            (1, _matrix_kron(one_a, _moment(b, h_b))),
+        ]
+    )
+    return left == right
+
+
+class TestTensorBreakpoints:
+    def test_matches_unit_expansion(self):
+        rng = random.Random(250)
+        for _ in range(60):
+            a, b = _rand_pair(rng, max_steps=2)
+            assert tensor_filtrations(a, b) == _unit_tensor_reference(a, b)
+
+    def test_product_metric_identity(self):
+        # Totaro's product metric: H_a (x) H_b moves the product's moment
+        # value to Phi_a (x) I + I (x) Phi_b, exactly
+        rng = random.Random(251)
+        for _ in range(50):
+            a, b = _rand_pair(rng, max_steps=3)
+            assert _identity_holds(a, b, rng)
+
+    def test_cost_does_not_grow_with_the_weights(self, monkeypatch):
+        calls = []
+
+        def counting_kron(x, y):
+            calls.append((x, y))
+            return kron(x, y)
+
+        monkeypatch.setattr(filtration, "kron", counting_kron)
+        a = mfiltration(2, [[(line(2, 1, 0), 3000)]])
+        b = mfiltration(2, [[(line(2, 1, 0), F(1, 7))]])
+        chain = tensor_filtrations(a, b).filtrations[0]
+        assert [(s.dim, w) for s, w in chain] == [
+            (3, F(1, 7)),
+            (2, F(20999, 7)),
+            (1, F(1, 7)),
+        ]
+        assert len(calls) <= (1 + 1) * (1 + 1)
